@@ -1,8 +1,8 @@
 """Independent exactness and minimality oracles for resolutions.
 
 Everything here is exact: scalars are rationals, ranks come from
-fraction-free integer elimination, and no tolerance appears anywhere,
-because minimality and exactness are discrete claims.
+sparse fraction-free elimination over the integers, and no tolerance
+appears anywhere, because minimality and exactness are discrete claims.
 
 The workhorse is the strand criterion. Restricting a multigraded complex
 to a single multidegree b keeps exactly the faces whose multidegree
@@ -19,15 +19,23 @@ subset lcm, and the homology of the complex is concentrated on such
 multidegrees, so checking the lcm lattice suffices; an exhaustive mode
 over every multidegree below the top lcm is available for tiny inputs
 as a cross-check of that standard fact.
+
+Each `strand_exactness` call indexes the resolution once: faces grouped
+by multidegree per degree, every multidegree packed into one int so that
+divisibility is a single integer test, and every differential held as
+sparse integer columns (each scaled once by the lcm of its
+denominators). A strand is then a selection of face indices, and each of
+its maps is ranked by the same sparse elimination over the integers
+that `matrix_rank_exact` uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import gcd
-from typing import Sequence
+from itertools import chain, product
+from math import gcd, lcm
+from typing import Iterable, Sequence
 
 from .cancellation import minimize_generic
 from .monomials import CapExceededError, Monomial, MonomialIdeal
@@ -43,43 +51,70 @@ class OracleDisagreementError(RuntimeError):
 
 
 def matrix_rank_exact(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """Rank over the rationals via fraction-free (Bareiss) elimination.
+    """Rank over the rationals of a dense matrix given as rows.
 
-    Rows are first scaled to integers (rank-preserving), then eliminated
-    with the two-term determinant update, whose divisions are exact.
+    A thin adapter onto the sparse kernel the strand oracle uses: each
+    column becomes a sparse integer vector, scaled by the lcm of its
+    denominators, and the columns are ranked by fraction-free integer
+    elimination.
     """
     if not rows or not rows[0]:
         return 0
-    work: list[list[int]] = []
-    for row in rows:
-        scale = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                scale = scale * x.denominator // gcd(scale, x.denominator)
-        work.append([int(x * scale) for x in row])
-    m, n = len(work), len(work[0])
-    rank = 0
-    pivot_row = 0
-    prev = 1
-    for col in range(n):
-        pivot = next((i for i in range(pivot_row, m) if work[i][col]), None)
-        if pivot is None:
-            continue
-        work[pivot_row], work[pivot] = work[pivot], work[pivot_row]
-        lead = work[pivot_row][col]
-        for i in range(pivot_row + 1, m):
-            head = work[i][col]
-            row_i = work[i]
-            row_p = work[pivot_row]
-            for j in range(col + 1, n):
-                row_i[j] = (row_i[j] * lead - head * row_p[j]) // prev
-            row_i[col] = 0
-        prev = lead
-        pivot_row += 1
-        rank += 1
-        if pivot_row == m:
-            break
-    return rank
+    return _sparse_rank(
+        _integer_column({i: row[j] for i, row in enumerate(rows) if row[j]})
+        for j in range(len(rows[0]))
+    )
+
+
+def _integer_column(values: dict[int, Fraction | int]) -> dict[int, int]:
+    """A sparse rational column times the lcm of its denominators.
+
+    Scaling a column by a nonzero constant keeps the rank, and restricting
+    a scaled column to some rows gives the scaled restriction, so a column
+    can be scaled once and then restricted to any strand.
+    """
+    scale = lcm(*(x.denominator for x in values.values()))
+    return {r: x.numerator * (scale // x.denominator) for r, x in values.items()}
+
+
+def _sparse_rank(columns: Iterable[dict[int, int]]) -> int:
+    """Rank over Q of sparse integer columns by fraction-free elimination.
+
+    Each column is reduced against the pivots found so far, which are
+    keyed by their leading (smallest) row. When the leading rows clash,
+    the integer combination b*v - a*p with a/b the ratio of the two
+    leading entries in lowest terms cancels the leading entry of v
+    without leaving the integers. A column that reduces to zero is
+    dependent; any other becomes a pivot, divided by its content (the gcd
+    of its entries) with a positive leading entry, so entries stay small.
+    The number of pivots is the rank over Q, computed exactly. The column
+    dicts are consumed: they are reduced in place.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for vec in columns:
+        while vec:
+            lead = min(vec)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                content = gcd(*vec.values())
+                if vec[lead] < 0:
+                    content = -content
+                if content != 1:
+                    vec = {r: x // content for r, x in vec.items()}
+                pivots[lead] = vec
+                break
+            a, b = vec[lead], pivot[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if b != 1:
+                vec = {r: x * b for r, x in vec.items()}
+            for r, x in pivot.items():
+                y = vec.get(r, 0) - a * x
+                if y:
+                    vec[r] = y
+                else:
+                    del vec[r]
+    return len(pivots)
 
 
 def compose_check(res: Resolution) -> bool:
@@ -125,42 +160,92 @@ class StrandReport:
     failure_degree: int | None
 
 
-def _strand_report(res: Resolution, ideal: MonomialIdeal, b: Monomial) -> StrandReport:
-    top = res.top
-    present: list[dict[int, int]] = []  # module index -> strand-local index
-    dims = []
-    for degree in range(top + 1):
-        local = {}
-        for i, face in enumerate(res.modules[degree]):
-            if face.mdeg.divides(b):
-                local[i] = len(local)
-        present.append(local)
-        dims.append(len(local))
+class _StrandIndex:
+    """One resolution indexed for the strand criterion at many multidegrees.
 
-    ranks = [0] * (top + 1)
-    ranks[0] = 0 if any(g.divides(b) for g in ideal.generators) else 1
-    for degree in range(1, top + 1):
-        rows_present = present[degree - 1]
-        cols_present = present[degree]
-        if not rows_present or not cols_present:
-            continue
-        matrix = res.diffs[degree]
-        assert matrix is not None
-        dense = [[Fraction(0)] * len(cols_present) for _ in rows_present]
-        for (ri, ci), entry in matrix.entries.items():
-            if ri in rows_present and ci in cols_present:
-                dense[rows_present[ri]][cols_present[ci]] = entry.scalar
-        ranks[degree] = matrix_rank_exact(dense)
+    Built once per `strand_exactness` call. Every multidegree in play is
+    packed into one int: exponent i occupies a field of `width` bits whose
+    top bit is a guard, so with G the mask of all guard bits, e divides b
+    exactly when ((b | G) - e) & G == G (a field borrows from its guard
+    bit precisely when e_i > b_i, and never from the next field). The
+    width must hold the largest exponent of the faces and of the targets
+    alike, since a target can exceed every face; the generators divide
+    the top lcm, which is always a target.
+    """
 
-    exact = True
-    failure = None
-    for degree in range(top + 1):
-        above = ranks[degree + 1] if degree + 1 <= top else 0
-        if dims[degree] != ranks[degree] + above:
-            exact = False
-            failure = degree
-            break
-    return StrandReport(b, tuple(dims), tuple(ranks), exact, failure)
+    def __init__(
+        self, res: Resolution, ideal: MonomialIdeal, targets: Sequence[Monomial]
+    ) -> None:
+        faces = (face.mdeg for face in res.iter_faces())
+        largest = max(
+            (e for m in chain(faces, targets) for e in m.exponents), default=0
+        )
+        self.width = largest.bit_length() + 1
+        self.guard = sum(
+            1 << (self.width * (i + 1) - 1) for i in range(len(ideal.vars))
+        )
+        self.generators = [self.pack(g) for g in ideal.generators]
+        # Per degree: packed multidegree -> indices of the faces carrying it.
+        self.groups: list[dict[int, list[int]]] = []
+        for module in res.modules:
+            groups: dict[int, list[int]] = {}
+            for i, face in enumerate(module):
+                groups.setdefault(self.pack(face.mdeg), []).append(i)
+            self.groups.append(groups)
+        # Per differential: sparse integer columns, keyed by column index.
+        self.columns: list[dict[int, dict[int, int]]] = [{}]
+        for matrix in res.diffs[1:]:
+            assert matrix is not None
+            by_col: dict[int, dict[int, Fraction]] = {}
+            for (ri, ci), entry in matrix.entries.items():
+                by_col.setdefault(ci, {})[ri] = entry.scalar
+            self.columns.append(
+                {ci: _integer_column(col) for ci, col in by_col.items()}
+            )
+
+    def pack(self, m: Monomial) -> int:
+        packed = 0
+        for e in reversed(m.exponents):
+            packed = (packed << self.width) | e
+        return packed
+
+    def report(self, b: Monomial) -> StrandReport:
+        guard = self.guard
+        target = self.pack(b) | guard
+        present = [
+            [
+                i
+                for packed, faces in groups.items()
+                if (target - packed) & guard == guard
+                for i in faces
+            ]
+            for groups in self.groups
+        ]
+        top = len(present) - 1
+        dims = [len(faces) for faces in present]
+        ranks = [0] * (top + 1)
+        covered = any((target - g) & guard == guard for g in self.generators)
+        ranks[0] = 0 if covered else 1
+        for degree in range(1, top + 1):
+            if not present[degree - 1] or not present[degree]:
+                continue
+            rows = set(present[degree - 1])
+            columns = self.columns[degree]
+            ranks[degree] = _sparse_rank(
+                {r: x for r, x in columns[ci].items() if r in rows}
+                for ci in present[degree]
+                if ci in columns
+            )
+
+        exact = True
+        failure = None
+        for degree in range(top + 1):
+            above = ranks[degree + 1] if degree + 1 <= top else 0
+            if dims[degree] != ranks[degree] + above:
+                exact = False
+                failure = degree
+                break
+        return StrandReport(b, tuple(dims), tuple(ranks), exact, failure)
 
 
 def strand_exactness(
@@ -187,7 +272,8 @@ def strand_exactness(
         ]
     else:
         targets = [b for b in lcm_lattice(ideal).monomials if not b.is_unit]
-    return [_strand_report(res, ideal, b) for b in targets]
+    index = _StrandIndex(res, ideal, targets)
+    return [index.report(b) for b in targets]
 
 
 def strands_all_exact(reports: Sequence[StrandReport]) -> bool:

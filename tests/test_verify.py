@@ -1,12 +1,27 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import I, ideals
-from monores.cancellation import minimize_generic, standard_cancellation
-from monores.taylor import DifferentialMatrix, Entry, build_taylor
+from monores.cancellation import (
+    eliminate_face_facet_pairs,
+    minimize_generic,
+    standard_cancellation,
+)
+from monores.monomials import MAX_EXPONENT, Monomial
+from monores.taylor import (
+    DifferentialMatrix,
+    Entry,
+    Face,
+    Resolution,
+    build_taylor,
+    lcm_lattice,
+)
 from monores.verify import (
+    StrandReport,
     betti_oracle,
     compose_check,
     matrix_rank_exact,
@@ -36,6 +51,104 @@ def fraction_rank_reference(rows):
         r += 1
         rank += 1
     return rank
+
+
+def bareiss_rank_reference(rows):
+    """Dense fraction-free (Bareiss) elimination, for cross-validation.
+
+    Rows are first scaled to integers (rank-preserving), then eliminated
+    with the two-term determinant update, whose divisions are exact.
+    """
+    if not rows or not rows[0]:
+        return 0
+    work = []
+    for row in rows:
+        scale = 1
+        for x in row:
+            if isinstance(x, Fraction):
+                scale = scale * x.denominator // gcd(scale, x.denominator)
+        work.append([int(x * scale) for x in row])
+    m, n = len(work), len(work[0])
+    rank = 0
+    pivot_row = 0
+    prev = 1
+    for col in range(n):
+        pivot = next((i for i in range(pivot_row, m) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[pivot_row], work[pivot] = work[pivot], work[pivot_row]
+        lead = work[pivot_row][col]
+        for i in range(pivot_row + 1, m):
+            head = work[i][col]
+            row_i = work[i]
+            row_p = work[pivot_row]
+            for j in range(col + 1, n):
+                row_i[j] = (row_i[j] * lead - head * row_p[j]) // prev
+            row_i[col] = 0
+        prev = lead
+        pivot_row += 1
+        rank += 1
+        if pivot_row == m:
+            break
+    return rank
+
+
+def reference_strand_report(res, ideal, b):
+    """One strand by rescanning every face and densifying every matrix."""
+    top = res.top
+    present = []  # module index -> strand-local index
+    dims = []
+    for degree in range(top + 1):
+        local = {}
+        for i, face in enumerate(res.modules[degree]):
+            if face.mdeg.divides(b):
+                local[i] = len(local)
+        present.append(local)
+        dims.append(len(local))
+
+    ranks = [0] * (top + 1)
+    ranks[0] = 0 if any(g.divides(b) for g in ideal.generators) else 1
+    for degree in range(1, top + 1):
+        rows_present = present[degree - 1]
+        cols_present = present[degree]
+        if not rows_present or not cols_present:
+            continue
+        matrix = res.diffs[degree]
+        dense = [[Fraction(0)] * len(cols_present) for _ in rows_present]
+        for (ri, ci), entry in matrix.entries.items():
+            if ri in rows_present and ci in cols_present:
+                dense[rows_present[ri]][cols_present[ci]] = entry.scalar
+        ranks[degree] = bareiss_rank_reference(dense)
+
+    exact = True
+    failure = None
+    for degree in range(top + 1):
+        above = ranks[degree + 1] if degree + 1 <= top else 0
+        if dims[degree] != ranks[degree] + above:
+            exact = False
+            failure = degree
+            break
+    return StrandReport(b, tuple(dims), tuple(ranks), exact, failure)
+
+
+def reference_strand_exactness(res, ideal, exhaustive=False):
+    """The dense strand oracle over the same targets as strand_exactness."""
+    lattice = lcm_lattice(ideal).monomials
+    if exhaustive:
+        targets = [
+            Monomial(ideal.vars, exps)
+            for exps in product(*(range(e + 1) for e in lattice[-1].exponents))
+        ]
+    else:
+        targets = [b for b in lattice if not b.is_unit]
+    return [reference_strand_report(res, ideal, b) for b in targets]
+
+
+def assert_strands_match_reference(res, ideal, modes=(False, True)):
+    for exhaustive in modes:
+        assert strand_exactness(res, ideal, exhaustive) == reference_strand_exactness(
+            res, ideal, exhaustive
+        )
 
 
 def flip_one_sign(res):
@@ -177,6 +290,85 @@ def test_exhaustive_mode_covers_the_unit_degree():
     assert unit.dims == (1, 0, 0)
     assert unit.ranks == (1, 0, 0)  # the quotient is nonzero at degree 1
     assert unit.exact
+
+
+@settings(max_examples=40, deadline=None)
+@given(ideals(min_gens=2, max_gens=5))
+def test_strand_exactness_matches_dense_reference(ideal):
+    assume(len(ideal) >= 2)  # flip_one_sign needs a degree-2 differential
+    taylor = build_taylor(ideal)
+    for res in (
+        taylor,
+        minimize_generic(taylor),
+        eliminate_face_facet_pairs(taylor).resolution,
+        flip_one_sign(taylor),
+        delete_top_face(taylor),
+    ):
+        assert_strands_match_reference(res, ideal)
+
+
+def test_strand_packing_covers_targets_above_every_face():
+    # With the x^4 faces gone, every face exponent is at most 1 while the
+    # lattice still reaches x^4: packing must be as wide as the targets.
+    M = I("x^4, y")
+    y = M.generators[1]
+    unit_face = Face((), M.vars.unit())
+    y_face = Face((1,), y)
+    d1 = DifferentialMatrix([unit_face], [y_face], {(0, 0): Entry(1, y)})
+    res = Resolution([[unit_face], [y_face]], [None, d1], [])
+    assert_strands_match_reference(res, M)
+    at_x4 = next(r for r in strand_exactness(res, M) if str(r.multidegree) == "x^4")
+    assert at_x4.dims == (1, 0)
+    assert not at_x4.exact
+
+
+def test_strands_match_reference_at_the_exponent_cap():
+    M = I(f"x^{MAX_EXPONENT}*y, x*y^2, z^3")
+    taylor = build_taylor(M)
+    for res in (taylor, minimize_generic(taylor), delete_top_face(taylor)):
+        assert_strands_match_reference(res, M, modes=(False,))
+    assert strands_all_exact(strand_exactness(taylor, M))
+
+
+def rescale_basis(res, rng):
+    """Diagonal change of basis by rationals with even denominators.
+
+    Face f of degree j becomes s_f * f with s_f = odd / (2^j * odd), so
+    entry (r, c) becomes entry * s_c / s_r, whose denominator is even.
+    The result is isomorphic to the input, exact wherever it was.
+    """
+    scale = [
+        [
+            Fraction(rng.choice((1, -1, 3, -3, 5)), 2**degree * rng.choice((1, 3, 5)))
+            for _ in module
+        ]
+        for degree, module in enumerate(res.modules)
+    ]
+    out = res.copy()
+    for degree in range(1, out.top + 1):
+        matrix = out.diffs[degree]
+        matrix.entries = {
+            (ri, ci): Entry(
+                e.scalar * scale[degree][ci] / scale[degree - 1][ri], e.monomial
+            )
+            for (ri, ci), e in matrix.entries.items()
+        }
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(ideals(min_gens=2, max_gens=4), st.integers(0, 10**6))
+def test_strand_exactness_matches_reference_on_rational_scalars(ideal, seed):
+    assume(len(ideal) >= 2)
+    rescaled = rescale_basis(build_taylor(ideal), random.Random(seed))
+    assert all(
+        e.scalar.denominator % 2 == 0
+        for matrix in rescaled.diffs[1:]
+        for e in matrix.entries.values()
+    )
+    assert strands_all_exact(strand_exactness(rescaled, ideal))
+    for res in (rescaled, minimize_generic(rescaled), flip_one_sign(rescaled)):
+        assert_strands_match_reference(res, ideal)
 
 
 # --- minimality --------------------------------------------------------------------
