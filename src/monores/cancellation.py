@@ -25,6 +25,17 @@ minimal resolution, because fill-in can create invertible entries
 between faces that are not facet-related and thereby rescue states the
 restricted eliminator cannot leave.
 
+Pivots are found in one sorted index of the invertible positions, keyed
+(degree, column members, row members), which is built once per working
+copy and kept current by every entry write and delete: a write inserts a
+position only when it creates it, a delete removes it. No step rescans
+the matrices. The index never needs re-checking because invertibility
+is static per position: every entry at (row, column) carries the
+monomial mdeg(column) / mdeg(row), fill-in included, so a position is
+invertible exactly when its two faces have equal multidegree, for as
+long as it holds an entry. Every strategy loop reads the same index, in
+the same (degree, column, row) order, so that order fixes its trail.
+
 All public functions leave their input resolution untouched and return a
 fresh one; the loop drivers mutate a private working copy internally.
 """
@@ -32,10 +43,11 @@ fresh one; the loop drivers mutate a private working copy internally.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .dominance import classify
 from .monomials import IdealError, Monomial, MonomialIdeal, lcm
@@ -46,6 +58,8 @@ from .taylor import (
     Resolution,
     _check_cap,
     _mdeg_by_mask,
+    face_with_members,
+    repeated_multidegree_classes,
 )
 
 
@@ -90,30 +104,62 @@ class SeededRandom:
 
 @dataclass(frozen=True)
 class Scripted:
-    """Cancel exactly the given (sigma members, tau members) pairs, in order."""
+    """Cancel exactly the given (sigma members, tau members) pairs, in order.
+
+    pairs is a list or tuple of two-element lists or tuples of member
+    lists; members must be distinct nonnegative ints (not bools), and
+    anything else raises IdealError.
+    """
 
     pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
     def __init__(self, pairs) -> None:
-        normalized = tuple(
-            (tuple(sorted(sigma)), tuple(sorted(tau))) for sigma, tau in pairs
-        )
-        object.__setattr__(self, "pairs", normalized)
+        if not isinstance(pairs, (list, tuple)):
+            raise IdealError("a script is a list of [sigma, tau] member-list pairs")
+        normalized = []
+        for pair in pairs:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise IdealError(f"script entry {pair!r} is not a [sigma, tau] pair")
+            normalized.append(tuple(_script_members(face) for face in pair))
+        object.__setattr__(self, "pairs", tuple(normalized))
+
+
+def _script_members(face) -> tuple[int, ...]:
+    if not isinstance(face, (list, tuple)):
+        raise IdealError(f"script face {face!r} is not a list of generator indices")
+    for member in face:
+        # bool is an int subclass, and True == 1 would match generator 1.
+        if isinstance(member, bool) or not isinstance(member, int) or member < 0:
+            raise IdealError(
+                f"script face member {member!r} is not a nonnegative integer"
+            )
+    if len(set(face)) != len(face):
+        raise IdealError(f"script face {list(face)} repeats a member")
+    return tuple(sorted(face))
 
 
 Strategy = Deterministic | SeededRandom | Scripted
 
 
-class _Work:
-    """Mutable face-keyed view of a resolution, for efficient cancellation."""
+_Pivot = tuple[int, tuple[int, ...], tuple[int, ...], Face, Face]
 
-    __slots__ = ("modules", "by_col", "by_row", "trail")
+
+class _Work:
+    """Mutable face-keyed view of a resolution, for efficient cancellation.
+
+    pivots holds every invertible position as (degree, column members,
+    row members, row, column), sorted. Positions are unique, so tuple
+    comparison never reaches the faces.
+    """
+
+    __slots__ = ("modules", "by_col", "by_row", "trail", "pivots")
 
     def __init__(self, res: Resolution) -> None:
         self.modules: list[list[Face]] = [list(m) for m in res.modules]
         self.by_col: list[dict[Face, dict[Face, Entry]]] = [{}]
         self.by_row: list[dict[Face, dict[Face, Entry]]] = [{}]
         self.trail: list[CancellationEvent] = list(res.trail)
+        self.pivots: list[_Pivot] = []
         for degree in range(1, res.top + 1):
             matrix = res.diffs[degree]
             assert matrix is not None
@@ -123,8 +169,11 @@ class _Work:
                 row, col = matrix.rows[ri], matrix.cols[ci]
                 by_col.setdefault(col, {})[row] = entry
                 by_row.setdefault(row, {})[col] = entry
+                if entry.is_invertible:
+                    self.pivots.append((degree, col.members, row.members, row, col))
             self.by_col.append(by_col)
             self.by_row.append(by_row)
+        self.pivots.sort()
 
     @property
     def top(self) -> int:
@@ -149,13 +198,18 @@ class _Work:
         return self.by_col[degree].get(col, {}).get(row)
 
     def set(self, degree: int, row: Face, col: Face, entry: Entry) -> None:
-        self.by_col[degree].setdefault(col, {})[row] = entry
+        col_entries = self.by_col[degree].setdefault(col, {})
+        if row not in col_entries and entry.is_invertible:
+            insort(self.pivots, (degree, col.members, row.members, row, col))
+        col_entries[row] = entry
         self.by_row[degree].setdefault(row, {})[col] = entry
 
     def delete(self, degree: int, row: Face, col: Face) -> None:
         col_entries = self.by_col[degree].get(col)
         if col_entries and row in col_entries:
-            del col_entries[row]
+            if col_entries.pop(row).is_invertible:
+                key = (degree, col.members, row.members, row, col)
+                del self.pivots[bisect_left(self.pivots, key)]
             if not col_entries:
                 del self.by_col[degree][col]
             row_entries = self.by_row[degree][row]
@@ -244,42 +298,16 @@ class _Work:
             CancellationEvent(col_face, row_face, pivot_scalar, strategy_tag)
         )
 
-    def invertible_positions(self) -> list[tuple[int, Face, Face]]:
-        found = []
-        for degree in range(1, self.top + 1):
-            for col, col_entries in self.by_col[degree].items():
-                for row, entry in col_entries.items():
-                    if entry.is_invertible:
-                        found.append((degree, row, col))
-        found.sort(key=lambda t: (t[0], t[2].members, t[1].members))
-        return found
-
-    def facet_candidates(self) -> list[tuple[int, Face, Face]]:
-        return [
-            (degree, row, col)
-            for degree, row, col in self.invertible_positions()
-            if row.is_facet_of(col)
-        ]
-
-    def repeated_classes(self) -> dict[Monomial, list[Face]]:
-        by_mdeg: dict[Monomial, list[Face]] = {}
-        for module in self.modules:
-            for face in module:
-                by_mdeg.setdefault(face.mdeg, []).append(face)
-        return {m: fs for m, fs in by_mdeg.items() if len(fs) >= 2}
+    def facet_pivots(self) -> Iterator[tuple[int, Face, Face]]:
+        """Invertible face/facet positions, in (degree, column, row) order."""
+        for degree, _, _, row, col in self.pivots:
+            if row.is_facet_of(col):
+                yield degree, row, col
 
 
 def find_invertible_entries(res: Resolution) -> list[tuple[int, Face, Face]]:
     """All invertible positions, ordered by (degree, column, row)."""
-    found = []
-    for degree in range(1, res.top + 1):
-        matrix = res.diffs[degree]
-        assert matrix is not None
-        for (ri, ci), entry in matrix.entries.items():
-            if entry.is_invertible:
-                found.append((degree, matrix.rows[ri], matrix.cols[ci]))
-    found.sort(key=lambda t: (t[0], t[2].members, t[1].members))
-    return found
+    return [(degree, row, col) for degree, _, _, row, col in _Work(res).pivots]
 
 
 def standard_change_of_basis(
@@ -312,8 +340,8 @@ def eliminate_face_facet_pairs(
     if isinstance(strategy, Scripted):
         for sigma_members, tau_members in strategy.pairs:
             degree = len(sigma_members)
-            sigma = _find_current_face(work, sigma_members)
-            tau = _find_current_face(work, tau_members)
+            sigma = face_with_members(work.modules, sigma_members)
+            tau = face_with_members(work.modules, tau_members)
             problem = None
             if sigma is None or tau is None:
                 problem = "face not present"
@@ -332,36 +360,21 @@ def eliminate_face_facet_pairs(
     elif isinstance(strategy, SeededRandom):
         rng = random.Random(strategy.seed)
         tag = f"random:{strategy.seed}"
-        while True:
-            candidates = work.facet_candidates()
-            if not candidates:
-                break
+        while candidates := list(work.facet_pivots()):
             degree, row, col = candidates[rng.randrange(len(candidates))]
             work.cancel(degree, row, col, tag)
     else:
-        while True:
-            candidates = work.facet_candidates()
-            if not candidates:
-                break
-            degree, row, col = candidates[0]
+        while pivot := next(work.facet_pivots(), None):
+            degree, row, col = pivot
             work.cancel(degree, row, col, "deterministic")
 
-    repeated = work.repeated_classes()
-    if repeated and not work.facet_candidates():
-        witness_mdeg = min(repeated, key=lambda m: m.exponents)
-        witness = sorted(repeated[witness_mdeg], key=Face.sort_key)
-        return EliminationOutcome(work.freeze(), "stuck", witness)
-    return EliminationOutcome(work.freeze(), "completed", None)
-
-
-def _find_current_face(work: _Work, members: tuple[int, ...]) -> Face | None:
-    degree = len(members)
-    if degree > work.top:
-        return None
-    for face in work.modules[degree]:
-        if face.members == members:
-            return face
-    return None
+    resolution = work.freeze()
+    # Classes come smallest exponent vector first, faces in sort_key order.
+    repeated = repeated_multidegree_classes(resolution)
+    if repeated and next(work.facet_pivots(), None) is None:
+        witness = next(iter(repeated.values()))
+        return EliminationOutcome(resolution, "stuck", witness)
+    return EliminationOutcome(resolution, "completed", None)
 
 
 def minimize_generic(res: Resolution) -> Resolution:
@@ -373,11 +386,8 @@ def minimize_generic(res: Resolution) -> Resolution:
     the multigraded Betti data.
     """
     work = _Work(res)
-    while True:
-        positions = work.invertible_positions()
-        if not positions:
-            break
-        degree, row, col = positions[0]
+    while work.pivots:
+        degree, _, _, row, col = work.pivots[0]
         work.cancel(degree, row, col, "generic")
     return work.freeze()
 

@@ -440,8 +440,9 @@ def _parse_strategy(text: str):
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 pairs = json.load(handle)
-            return Scripted(tuple((tuple(s), tuple(t)) for s, t in pairs))
-        except (TypeError, ValueError) as exc:
+            return Scripted(pairs)
+        # json raises RecursionError on deeply nested arrays.
+        except (ValueError, RecursionError) as exc:
             raise IdealError(f"bad script file {path}: {exc}")
     raise IdealError(
         f"unknown strategy {text!r}; use deterministic, random:<seed>,"

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .monomials import (
     CapExceededError,
@@ -68,6 +68,11 @@ class Face:
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         return (len(self.members), self.members)
+
+    def __hash__(self) -> int:
+        # Equal faces have equal members and so equal masks; the generated
+        # hash would recurse through every member and the multidegree.
+        return self.mask
 
 
 @dataclass(frozen=True)
@@ -134,14 +139,7 @@ class Resolution:
             yield from module
 
     def find_face(self, members: Iterable[int]) -> Face | None:
-        members = tuple(sorted(members))
-        degree = len(members)
-        if degree > self.top:
-            return None
-        for face in self.modules[degree]:
-            if face.members == members:
-                return face
-        return None
+        return face_with_members(self.modules, members)
 
     def copy(self) -> Resolution:
         diffs: list[DifferentialMatrix | None] = [None]
@@ -153,6 +151,20 @@ class Resolution:
                 )
             )
         return Resolution([list(m) for m in self.modules], diffs, list(self.trail))
+
+
+def face_with_members(
+    modules: Sequence[Sequence[Face]], members: Iterable[int]
+) -> Face | None:
+    """The face with the given members in a per-degree face list, or None."""
+    members = tuple(sorted(members))
+    degree = len(members)
+    if degree >= len(modules):
+        return None
+    for face in modules[degree]:
+        if face.members == members:
+            return face
+    return None
 
 
 def strip_trailing_zeros(values: Iterable[int]) -> tuple[int, ...]:

@@ -1,13 +1,17 @@
+import random
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from conftest import I, ideals
+from conftest import I, ideals, random_minimal_ideal
 from monores.cancellation import (
     Scripted,
     SeededRandom,
+    _Work,
     check_theorem71_hypothesis,
     eliminate_face_facet_pairs,
     find_invertible_entries,
@@ -56,6 +60,103 @@ def test_find_invertible_unique_entry():
 
 def test_find_invertible_none_for_minimal():
     assert find_invertible_entries(build_taylor(I("x^2, x*z, y^3"))) == []
+
+
+# --- the pivot index ----------------------------------------------------------------
+
+
+def reference_invertible_positions(work):
+    """The full rescan and sort that the pivot index replaces."""
+    found = []
+    for degree in range(1, work.top + 1):
+        for col, col_entries in work.by_col[degree].items():
+            for row, entry in col_entries.items():
+                if entry.is_invertible:
+                    found.append((degree, row, col))
+    found.sort(key=lambda t: (t[0], t[2].members, t[1].members))
+    return found
+
+
+def assert_index_current(work):
+    assert [(j, r, c) for j, _, _, r, c in work.pivots] == (
+        reference_invertible_positions(work)
+    )
+    assert all(
+        cm == c.members and rm == r.members for _, cm, rm, r, c in work.pivots
+    )
+
+
+@contextmanager
+def index_checked_after_every_step():
+    """Compare the index to the rescan after every change of basis and cancel."""
+    steps = []
+
+    def checked(method):
+        def run(self, *args):
+            method(self, *args)
+            assert_index_current(self)
+            steps.append(method.__name__)
+
+        return run
+
+    with patch.object(_Work, "cancel", checked(_Work.cancel)), patch.object(
+        _Work, "change_of_basis", checked(_Work.change_of_basis)
+    ):
+        yield steps
+
+
+@st.composite
+def crowded_ideals(draw):
+    """Few variables and small exponents, so that many faces share a
+    multidegree and fill-in keeps creating new invertible positions."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n_vars, max_exp = draw(st.sampled_from([(3, 2), (4, 1), (4, 2), (5, 1)]))
+    return random_minimal_ideal(rng, n_vars, draw(st.integers(3, 6)), max_exp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(crowded_ideals(), st.integers(0, 2**16))
+def test_pivot_index_matches_rescan_after_every_cancel(ideal, seed):
+    taylor = build_taylor(ideal)
+    assert_index_current(_Work(taylor))
+    with index_checked_after_every_step() as steps:
+        generic = minimize_generic(taylor)
+        deterministic = eliminate_face_facet_pairs(taylor)
+        shuffled = eliminate_face_facet_pairs(taylor, SeededRandom(seed))
+        # Replaying a random trail as a script drives the scripted path.
+        script = [(e.sigma.members, e.tau.members) for e in shuffled.resolution.trail]
+        replay = eliminate_face_facet_pairs(taylor, Scripted(script))
+        minimize_generic(deterministic.resolution)
+    cancels = sum(
+        len(r.trail)
+        for r in (generic, deterministic.resolution, shuffled.resolution)
+    )
+    assert steps.count("cancel") >= cancels + len(replay.resolution.trail)
+    assert steps.count("change_of_basis") == steps.count("cancel")
+    assert replay.resolution.ranks() == shuffled.resolution.ranks()
+
+
+def test_pivot_index_through_non_facet_fill_in():
+    taylor = build_taylor(I("x^2y^2z^2, xw^2, yw^2, zw"))
+    script = Scripted((((0, 1, 2, 3), (0, 1, 3)), ((0, 1, 2), (0, 2))))
+    with index_checked_after_every_step() as steps:
+        stuck = eliminate_face_facet_pairs(taylor, script).resolution
+        work = _Work(stuck)
+        assert any(not r.is_facet_of(c) for _, _, _, r, c in work.pivots)
+        minimize_generic(stuck)
+    assert steps.count("cancel") == 2 + 1
+
+
+def test_equal_faces_hash_equal():
+    vars = VariableSet(("x", "y"))
+    f = Face((0, 2), Monomial(vars, (1, 2)))
+    g = Face([0, 2], Monomial(VariableSet(("x", "y")), (1, 2)))
+    assert f is not g and f == g
+    assert hash(f) == hash(g)
+    assert {f: 1}[g] == 1
+    taylor_face = build_taylor(I("x^2, xy, y^3")).find_face((0, 2))
+    again = build_taylor(I("x^2, xy, y^3")).find_face([2, 0])
+    assert taylor_face is not again and hash(taylor_face) == hash(again)
 
 
 # --- standard change of basis ---------------------------------------------------
@@ -254,6 +355,31 @@ def test_scripted_elimination_gets_stuck():
     minimal = minimize_generic(stuck)
     assert minimal.ranks() == (1, 4, 4, 1, 0)
     assert compose_check(minimal)
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([[[True, 0], [0]]], "not a nonnegative integer"),
+        ([[[0, 1], [False]]], "not a nonnegative integer"),
+        ([[{"0": 1, "1": 2}, [0]]], "not a list of generator indices"),
+        ([[["a", 0], [0]]], "not a nonnegative integer"),
+        ([[[0, 1.0], [0]]], "not a nonnegative integer"),
+        ([[[0, -1], [0]]], "not a nonnegative integer"),
+        ([[[0, 1, 1], [0, 1]]], "repeats a member"),
+        ([[[0, 1], [0], [1]]], "not a \\[sigma, tau\\] pair"),
+        ([[[0, 1]]], "not a \\[sigma, tau\\] pair"),
+        ({"0": [[0, 1], [0]]}, "list of \\[sigma, tau\\] member-list pairs"),
+        ([[[0, 1], "0"]], "not a list of generator indices"),
+    ],
+)
+def test_scripted_rejects_malformed_members(pairs, message):
+    with pytest.raises(IdealError, match=message):
+        Scripted(pairs)
+
+
+def test_scripted_normalizes_member_order():
+    assert Scripted([[[2, 0, 1], [1, 0]]]).pairs == (((0, 1, 2), (0, 1)),)
 
 
 def test_scripted_rejects_uncancellable_pair():

@@ -185,6 +185,27 @@ def test_minimize_command_scripted_stuck(capsys, tmp_path):
     assert payload["generic_phase"]["ranks"] == [1, 4, 4, 1, 0]
 
 
+@pytest.mark.parametrize(
+    "script",
+    [
+        [[[True, 0], [0]]],
+        [[{"0": 1, "1": 2}, [0]]],
+        [[["a", 0], [0]]],
+        [[[0, 0, 1], [0, 1]]],
+        {"pairs": []},
+        "[" * 100000 + "]" * 100000,
+    ],
+)
+def test_minimize_command_rejects_malformed_script(capsys, tmp_path, script):
+    path = tmp_path / "bad.json"
+    path.write_text(script if isinstance(script, str) else json.dumps(script))
+    code = main(["minimize", "x^2, xy, y^3", "--strategy", f"script:{path}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "bad script file" in err and "Traceback" not in err
+    assert "not supported" not in err
+
+
 def test_minimize_command_random_seed(capsys):
     payload = run_json(
         capsys, ["minimize", "x^3y, y^2z, xz^2, xyz", "--strategy", "random:3"]
