@@ -147,6 +147,8 @@ _Pivot = tuple[int, tuple[int, ...], tuple[int, ...], Face, Face]
 class _Work:
     """Mutable face-keyed view of a resolution, for efficient cancellation.
 
+    modules holds each degree's faces as an insertion-ordered dict, so a
+    cancelled face is deleted in O(1) and the rest keep their order.
     pivots holds every invertible position as (degree, column members,
     row members, row, column), sorted. Positions are unique, so tuple
     comparison never reaches the faces.
@@ -155,7 +157,7 @@ class _Work:
     __slots__ = ("modules", "by_col", "by_row", "trail", "pivots")
 
     def __init__(self, res: Resolution) -> None:
-        self.modules: list[list[Face]] = [list(m) for m in res.modules]
+        self.modules: list[dict[Face, None]] = [dict.fromkeys(m) for m in res.modules]
         self.by_col: list[dict[Face, dict[Face, Entry]]] = [{}]
         self.by_row: list[dict[Face, dict[Face, Entry]]] = [{}]
         self.trail: list[CancellationEvent] = list(res.trail)
@@ -218,7 +220,7 @@ class _Work:
                 del self.by_row[degree][row]
 
     def delete_face(self, degree: int, face: Face) -> None:
-        self.modules[degree].remove(face)
+        del self.modules[degree][face]
         if degree >= 1:
             for row in list(self.by_col[degree].get(face, {})):
                 self.delete(degree, row, face)

@@ -154,9 +154,9 @@ class Resolution:
 
 
 def face_with_members(
-    modules: Sequence[Sequence[Face]], members: Iterable[int]
+    modules: Sequence[Iterable[Face]], members: Iterable[int]
 ) -> Face | None:
-    """The face with the given members in a per-degree face list, or None."""
+    """The face with the given members in per-degree face collections, or None."""
     members = tuple(sorted(members))
     degree = len(members)
     if degree >= len(modules):

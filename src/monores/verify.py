@@ -27,6 +27,17 @@ sparse integer columns (each scaled once by the lcm of its
 denominators). A strand is then a selection of face indices, and each of
 its maps is ranked by the same sparse elimination over the integers
 that `matrix_rank_exact` uses.
+
+`compose_check` sums d∘d over Python ints as well. It keeps one sum per
+(row, column, monomial), so terms of different monomials never cancel.
+Each entry's monomial is packed into one int, with a field width taken
+from the largest exponent of any entry monomial and wide enough for the
+sum of two exponents, (2 * largest).bit_length() bits, so adding two
+packed monomials multiplies them without a carry between fields. Each
+differential's scalars are scaled by the lcm of that whole matrix's
+denominators: one constant per matrix scales every d∘d sum alike, while
+per-column constants on the lower matrix would reweight the terms of a
+sum against each other.
 """
 
 from __future__ import annotations
@@ -122,31 +133,60 @@ def compose_check(res: Resolution) -> bool:
 
     Contributions are accumulated per (row, column, monomial) so that a
     corrupted complex cannot pass by accidental cross-monomial mixing.
+    The sums run over Python ints. Monomials are packed with fields of
+    (2 * largest).bit_length() bits, largest taken over the entry
+    monomials (never the faces: a corrupted complex can carry any
+    monomial), so packed(a) + packed(b) is packed(a * b) with no carry.
+    Scalars are scaled by one lcm of denominators per matrix, which
+    multiplies every d∘d sum of a degree by the same nonzero constant;
+    per-column scaling, as in the strand index, would reweight the lower
+    matrix's terms of one sum against each other.
     """
+    largest = max(
+        (
+            e
+            for matrix in res.diffs[1:]
+            for entry in matrix.entries.values()
+            for e in entry.monomial.exponents
+        ),
+        default=0,
+    )
+    width = max(1, (2 * largest).bit_length())
+    # Per differential: column index -> [(row index, packed monomial, scalar)].
+    by_col: list[dict[int, list[tuple[int, int, int]]]] = [{}]
+    for matrix in res.diffs[1:]:
+        assert matrix is not None
+        scale = lcm(*(entry.scalar.denominator for entry in matrix.entries.values()))
+        columns: dict[int, list[tuple[int, int, int]]] = {}
+        for (ri, ci), entry in matrix.entries.items():
+            x = entry.scalar
+            columns.setdefault(ci, []).append(
+                (
+                    ri,
+                    _pack(entry.monomial.exponents, width),
+                    x.numerator * (scale // x.denominator),
+                )
+            )
+        by_col.append(columns)
     for degree in range(1, res.top):
-        lower = res.diffs[degree]
-        upper = res.diffs[degree + 1]
-        assert lower is not None and upper is not None
-        lower_by_col: dict[int, list[tuple[int, object]]] = {}
-        for (ri, ci), entry in lower.entries.items():
-            lower_by_col.setdefault(ci, []).append((ri, entry))
-        sums: dict[tuple[int, int, tuple[int, ...]], Fraction] = {}
-        for (mid, ci), upper_entry in upper.entries.items():
-            for ri, lower_entry in lower_by_col.get(mid, ()):
-                exps = tuple(
-                    a + b
-                    for a, b in zip(
-                        lower_entry.monomial.exponents, upper_entry.monomial.exponents
-                    )
-                )
-                key = (ri, ci, exps)
-                sums[key] = (
-                    sums.get(key, Fraction(0))
-                    + lower_entry.scalar * upper_entry.scalar
-                )
-        if any(total != 0 for total in sums.values()):
-            return False
+        lower = by_col[degree]
+        for ci, column in by_col[degree + 1].items():
+            sums: dict[tuple[int, int], int] = {}
+            for mid, p_upper, x_upper in column:
+                for ri, p_lower, x_lower in lower.get(mid, ()):
+                    key = (ri, p_lower + p_upper)
+                    sums[key] = sums.get(key, 0) + x_lower * x_upper
+            if any(sums.values()):
+                return False
     return True
+
+
+def _pack(exponents: Sequence[int], width: int) -> int:
+    """An exponent vector as one int, exponent i in bits [i*width, (i+1)*width)."""
+    packed = 0
+    for e in reversed(exponents):
+        packed = (packed << width) | e
+    return packed
 
 
 @dataclass(frozen=True)
@@ -204,10 +244,7 @@ class _StrandIndex:
             )
 
     def pack(self, m: Monomial) -> int:
-        packed = 0
-        for e in reversed(m.exponents):
-            packed = (packed << self.width) | e
-        return packed
+        return _pack(m.exponents, self.width)
 
     def report(self, b: Monomial) -> StrandReport:
         guard = self.guard

@@ -3,13 +3,18 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import I, ideals
 from monores.cancellation import (
+    Deterministic,
+    SeededRandom,
     eliminate_face_facet_pairs,
+    find_invertible_entries,
     minimize_generic,
     standard_cancellation,
+    standard_change_of_basis,
 )
 from monores.monomials import MAX_EXPONENT, Monomial
 from monores.taylor import (
@@ -225,6 +230,147 @@ def test_compose_after_single_cancellation():
 def test_compose_fails_on_sign_flip():
     res = build_taylor(I("x^2, x*y, y^3"))
     assert not compose_check(flip_one_sign(res))
+
+
+def reference_compose_check(res):
+    """d∘d = 0 summed over Fractions and exponent tuples, one pair at a time."""
+    for degree in range(1, res.top):
+        lower = res.diffs[degree]
+        upper = res.diffs[degree + 1]
+        lower_by_col = {}
+        for (ri, ci), entry in lower.entries.items():
+            lower_by_col.setdefault(ci, []).append((ri, entry))
+        sums = {}
+        for (mid, ci), upper_entry in upper.entries.items():
+            for ri, lower_entry in lower_by_col.get(mid, ()):
+                exps = tuple(
+                    a + b
+                    for a, b in zip(
+                        lower_entry.monomial.exponents, upper_entry.monomial.exponents
+                    )
+                )
+                key = (ri, ci, exps)
+                sums[key] = (
+                    sums.get(key, Fraction(0))
+                    + lower_entry.scalar * upper_entry.scalar
+                )
+        if any(total != 0 for total in sums.values()):
+            return False
+    return True
+
+
+def compose_mutants(res, rng):
+    """Four copies of res, each with one random entry corrupted.
+
+    The corruptions: a sign flipped, a scalar times a non-integer
+    rational, one exponent of a monomial moved by one, an entry deleted.
+    """
+    degrees = [j for j in range(1, res.top + 1) if res.diffs[j].entries]
+    if not degrees:
+        return []
+    out = []
+    for mutate in range(4):
+        mutant = res.copy()
+        entries = mutant.diffs[rng.choice(degrees)].entries
+        key = rng.choice(sorted(entries))
+        entry = entries[key]
+        if mutate == 0:
+            entries[key] = Entry(-entry.scalar, entry.monomial)
+        elif mutate == 1:
+            factor = Fraction(rng.choice((1, -1, 2, 5)), rng.choice((2, 3, 7)))
+            entries[key] = Entry(entry.scalar * factor, entry.monomial)
+        elif mutate == 2:
+            exps = list(entry.monomial.exponents)
+            i = rng.randrange(len(exps))
+            exps[i] = exps[i] - 1 if exps[i] else 1
+            entries[key] = Entry(entry.scalar, Monomial(entry.monomial.vars, exps))
+        else:
+            del entries[key]
+        out.append(mutant)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(ideals(min_gens=2, max_gens=5), st.integers(0, 10**6))
+def test_compose_check_matches_reference(ideal, seed):
+    rng = random.Random(seed)
+    taylor = build_taylor(ideal)
+    complexes = [
+        taylor,
+        rescale_basis(taylor, rng),
+        minimize_generic(taylor),
+        eliminate_face_facet_pairs(taylor, Deterministic()).resolution,
+        eliminate_face_facet_pairs(taylor, SeededRandom(seed)).resolution,
+    ]
+    pivots = find_invertible_entries(taylor)
+    if pivots:
+        complexes.append(standard_change_of_basis(taylor, *rng.choice(pivots)))
+    for res in complexes:
+        assert compose_check(res)
+        assert reference_compose_check(res)
+        for mutant in compose_mutants(res, rng):
+            assert compose_check(mutant) == reference_compose_check(mutant)
+
+
+def two_step_complex(vars, d1_entries, d2_entries):
+    """Faces () <- (0,), (1,) <- (0, 1) with the given entries.
+
+    d1_entries are the two entries of the one row of d1, d2_entries the
+    two entries of the one column of d2, each as (scalar, exponents).
+    The multidegrees are not checked by compose_check and are left at 1.
+    """
+    unit = vars.unit()
+    rows = [Face((), unit)]
+    mids = [Face((0,), unit), Face((1,), unit)]
+    top = [Face((0, 1), unit)]
+    d1 = DifferentialMatrix(
+        rows,
+        mids,
+        {(0, i): Entry(x, vars.monomial(e)) for i, (x, e) in enumerate(d1_entries)},
+    )
+    d2 = DifferentialMatrix(
+        mids,
+        top,
+        {(i, 0): Entry(x, vars.monomial(e)) for i, (x, e) in enumerate(d2_entries)},
+    )
+    return Resolution([rows, mids, top], [None, d1, d2], [])
+
+
+def test_compose_keeps_monomials_apart():
+    # d1 d2 = x - y: the scalars cancel at the one (row, column), the
+    # monomials do not, so dropping the monomial from the key would pass.
+    vars = I("x, y").vars
+    res = two_step_complex(
+        vars, [(1, (1, 0)), (1, (0, 1))], [(1, (0, 0)), (-1, (0, 0))]
+    )
+    assert not reference_compose_check(res)
+    assert not compose_check(res)
+
+
+@pytest.mark.parametrize("e", [1, 3, 4, MAX_EXPONENT])
+def test_compose_packing_leaves_room_for_the_carry(e):
+    # d1 d2 = x^(2e) - x^r * y with 2e = 2^w + r, w = e.bit_length(): with
+    # fields only w bits wide, x^e * x^e would carry into y's field and
+    # pack like x^r * y, and the two terms would cancel.
+    w = e.bit_length()
+    r = 2 * e - (1 << w)
+    vars = I("x, y").vars
+    res = two_step_complex(
+        vars, [(1, (e, 0)), (1, (r, 1))], [(1, (e, 0)), (-1, (0, 0))]
+    )
+    assert not reference_compose_check(res)
+    assert not compose_check(res)
+
+
+def test_compose_matches_reference_at_the_exponent_cap():
+    M = I(f"x^{MAX_EXPONENT}*y, x*y^2, z^3")
+    taylor = build_taylor(M)
+    rescaled = rescale_basis(taylor, random.Random(5))
+    for res in (taylor, minimize_generic(taylor), rescaled):
+        assert compose_check(res)
+        for mutant in compose_mutants(res, random.Random(7)):
+            assert compose_check(mutant) == reference_compose_check(mutant)
+    assert not compose_check(flip_one_sign(taylor))
 
 
 # --- strand exactness -------------------------------------------------------------
