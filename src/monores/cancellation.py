@@ -50,13 +50,14 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .dominance import classify
-from .monomials import IdealError, Monomial, MonomialIdeal, lcm
+from .monomials import IdealError, Monomial, MonomialIdeal
 from .taylor import (
     DifferentialMatrix,
     Entry,
     Face,
     Resolution,
     _check_cap,
+    _mask_of,
     _mdeg_by_mask,
     face_with_members,
     repeated_multidegree_classes,
@@ -240,37 +241,48 @@ class _Work:
                 f"pivot at row {row_face.members}, column {col_face.members}"
                 " is not invertible"
             )
+        by_col = self.by_col[degree]
         old_row = dict(self.by_row[degree].get(row_face, {}))
-        old_col = dict(self.by_col[degree].get(col_face, {}))
+        old_col = dict(by_col.get(col_face, {}))
+        # Within one degree equal masks mean equal faces; a caller's
+        # resolution may hold equal faces that are distinct objects.
+        row_mask = row_face.mask
+        col_mask = col_face.mask
 
-        # Fill-in over the outer product of the pivot row and pivot column.
+        # Fill-in over the outer product of the pivot row and pivot column:
+        # b_cd = a_cd - a_rd * (a_cs / a_rs), the factor taken once per c.
+        pivot_scalar = pivot.scalar
+        factors = [
+            (c_face, a_cs.scalar / pivot_scalar)
+            for c_face, a_cs in old_col.items()
+            if c_face.mask != row_mask
+        ]
         for d_face, a_rd in old_row.items():
-            if d_face == col_face:
+            if d_face.mask == col_mask:
                 continue
-            for c_face, a_cs in old_col.items():
-                if c_face == row_face:
+            # The pivot row's entry keeps this column dict nonempty (and so
+            # in place) until the clean-up below.
+            d_entries = by_col[d_face]
+            a = a_rd.scalar
+            for c_face, factor in factors:
+                current = d_entries.get(c_face)
+                if current is None:
+                    # Every entry at (c, d) carries mdeg(d) / mdeg(c).
+                    monomial = d_face.mdeg.exact_div(c_face.mdeg)
+                    self.set(degree, c_face, d_face, Entry(-(a * factor), monomial))
                     continue
-                current = self.get(degree, c_face, d_face)
-                scalar = (Fraction(0) if current is None else current.scalar) - (
-                    a_rd.scalar * a_cs.scalar / pivot.scalar
-                )
-                if scalar == 0:
-                    if current is not None:
-                        self.delete(degree, c_face, d_face)
+                scalar = current.scalar - a * factor
+                if scalar:
+                    self.set(degree, c_face, d_face, Entry(scalar, current.monomial))
                 else:
-                    self.set(
-                        degree,
-                        c_face,
-                        d_face,
-                        Entry(scalar, d_face.mdeg.exact_div(c_face.mdeg)),
-                    )
+                    self.delete(degree, c_face, d_face)
 
         # Pivot row and column become unit vectors meeting at the pivot.
         for d_face in old_row:
-            if d_face != col_face:
+            if d_face.mask != col_mask:
                 self.delete(degree, row_face, d_face)
         for c_face in old_col:
-            if c_face != row_face:
+            if c_face.mask != row_mask:
                 self.delete(degree, c_face, col_face)
         unit = row_face.mdeg.vars.unit()
         self.set(degree, row_face, col_face, Entry(Fraction(1), unit))
@@ -406,13 +418,15 @@ def semidominant_pair_set_A(ideal: MonomialIdeal) -> list[tuple[Face, Face]]:
     report = classify(ideal)
     if report.p != 1:
         raise IdealError("pair set is defined for semidominant ideals only")
+    _check_cap(ideal)
     (n_index,) = report.nondominant_indices
     n = ideal.generators[n_index]
     dominant_indices = [i for i in range(len(ideal)) if i != n_index]
+    mdegs = _mdeg_by_mask(ideal)
     pairs = []
     for size in range(1, len(dominant_indices) + 1):
         for combo in combinations(dominant_indices, size):
-            sub_lcm = lcm([ideal.generators[i] for i in combo])
+            sub_lcm = mdegs[_mask_of(combo)]
             if n.divides(sub_lcm):
                 tau = Face(combo, sub_lcm)
                 sigma = Face(tuple(sorted(combo + (n_index,))), sub_lcm)

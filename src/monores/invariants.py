@@ -24,6 +24,7 @@ from .taylor import (
     Face,
     Resolution,
     _check_cap,
+    _mask_of,
     _mdeg_by_mask,
     build_taylor,
     strip_trailing_zeros,
@@ -68,19 +69,12 @@ def scarf_complex(ideal: MonomialIdeal) -> list[Face]:
         key = mdegs[mask].exponents
         counts[key] = counts.get(key, 0) + 1
     faces = [
-        Face(members, mdegs[_mask(members)])
+        Face(members, mdegs[_mask_of(members)])
         for degree in range(q + 1)
         for members in combinations(range(q), degree)
-        if counts[mdegs[_mask(members)].exponents] == 1
+        if counts[mdegs[_mask_of(members)].exponents] == 1
     ]
     return sorted(faces, key=Face.sort_key)
-
-
-def _mask(members: tuple[int, ...]) -> int:
-    out = 0
-    for i in members:
-        out |= 1 << i
-    return out
 
 
 def scarf_face_counts(ideal: MonomialIdeal) -> tuple[int, ...]:
@@ -124,21 +118,24 @@ def invariants_semidominant(ideal: MonomialIdeal) -> InvariantsReport:
     dominant generators whose lcm n does not divide:
     betti[i] = #B_i + #B_{i-1}; pd is the size of the largest dominant
     subset containing n; reg maximizes deg(mdeg) - size over dominant
-    subsets containing n.
+    subsets containing n. Subset lcms are read from one table of all 2^q,
+    so the Taylor cap applies.
     """
     report = classify(ideal)
     if report.p != 1:
         raise IdealError("closed form requires a semidominant ideal")
+    _check_cap(ideal)
     (n_index,) = report.nondominant_indices
     gens = ideal.generators
     n = gens[n_index]
     dominant_indices = [i for i in range(len(gens)) if i != n_index]
+    mdegs = _mdeg_by_mask(ideal)
 
     b_counts = [0] * (len(dominant_indices) + 1)
     b_counts[0] = 1  # the empty subset: n never divides 1
     for size in range(1, len(dominant_indices) + 1):
         for combo in combinations(dominant_indices, size):
-            if not n.divides(lcm([gens[i] for i in combo])):
+            if not n.divides(mdegs[_mask_of(combo)]):
                 b_counts[size] += 1
 
     def b_count(j: int) -> int:
@@ -161,7 +158,7 @@ def invariants_semidominant(ideal: MonomialIdeal) -> InvariantsReport:
         for combo in combinations(dominant_indices, size):
             subset = sorted(combo + (n_index,))
             if is_dominant_subset([gens[i] for i in subset]):
-                value = lcm([gens[i] for i in subset]).total_degree() - len(subset)
+                value = mdegs[_mask_of(subset)].total_degree() - len(subset)
                 reg = value if reg is None else max(reg, value)
     assert reg is not None  # the singleton {n} is always dominant
     return InvariantsReport(

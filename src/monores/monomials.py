@@ -4,11 +4,22 @@ Exponent vectors are stored densely, one slot per variable; the variable
 order is fixed at construction and shared by every monomial of a
 computation. All types are immutable and all operations are pure, so
 values can be shared freely across concurrent computations.
+
+Values are validated at the boundary and derived values are trusted.
+The public constructors (`Monomial(...)`, `VariableSet.monomial`, and
+through them the ideal parser) check every exponent: a nonnegative int
+no larger than MAX_EXPONENT, one per variable. Monomials derived from
+checked ones (`lcm`, `*`, `exact_div` and `VariableSet.unit`) are built
+by the private `_monomial` without checking again: the componentwise
+max of in-range nonnegative ints, and their difference once it is
+checked to be nonnegative, stay in range. A product keeps only its
+check against MAX_EXPONENT, the one bound a sum can break.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Iterable, Sequence
 
 # Resolutions never grow exponents beyond the componentwise max of the
@@ -50,7 +61,7 @@ class VariableSet:
         return self.names.index(name)
 
     def unit(self) -> Monomial:
-        return Monomial(self, (0,) * len(self.names))
+        return _monomial(self, (0,) * len(self.names))
 
     def monomial(self, exponents: Sequence[int]) -> Monomial:
         return Monomial(self, tuple(exponents))
@@ -88,25 +99,23 @@ class Monomial:
 
     def lcm(self, other: Monomial) -> Monomial:
         _require_same_vars(self, other)
-        return Monomial(
-            self.vars,
-            tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)),
-        )
+        return _monomial(self.vars, tuple(map(max, self.exponents, other.exponents)))
 
     def __mul__(self, other: Monomial) -> Monomial:
         _require_same_vars(self, other)
-        return Monomial(
-            self.vars,
-            tuple(a + b for a, b in zip(self.exponents, other.exponents)),
-        )
+        product = tuple(map(add, self.exponents, other.exponents))
+        for e in product:
+            if e > MAX_EXPONENT:
+                raise IdealError(f"exponent {e} exceeds the cap of {MAX_EXPONENT}")
+        return _monomial(self.vars, product)
 
     def exact_div(self, other: Monomial) -> Monomial:
         """Quotient by a divisor; raises if the division is not exact."""
         _require_same_vars(self, other)
-        diff = tuple(a - b for a, b in zip(self.exponents, other.exponents))
-        if any(d < 0 for d in diff):
+        diff = tuple(map(sub, self.exponents, other.exponents))
+        if min(diff) < 0:
             raise IdealError(f"{other} does not divide {self}")
-        return Monomial(self.vars, diff)
+        return _monomial(self.vars, diff)
 
     def __str__(self) -> str:
         factors = []
@@ -118,8 +127,16 @@ class Monomial:
         return "*".join(factors) if factors else "1"
 
 
+def _monomial(vars: VariableSet, exponents: tuple[int, ...]) -> Monomial:
+    """A Monomial built without validation, for values derived from valid ones."""
+    m = object.__new__(Monomial)
+    object.__setattr__(m, "vars", vars)
+    object.__setattr__(m, "exponents", exponents)
+    return m
+
+
 def _require_same_vars(a: Monomial, b: Monomial) -> None:
-    if a.vars != b.vars:
+    if a.vars is not b.vars and a.vars != b.vars:
         raise IdealError("monomials belong to different variable sets")
 
 

@@ -75,6 +75,16 @@ class Face:
         return self.mask
 
 
+def _face(members: tuple[int, ...], mdeg: Monomial, mask: int) -> Face:
+    """A Face built without validation, from strictly increasing members
+    and the mask the caller already holds for them."""
+    face = object.__new__(Face)
+    object.__setattr__(face, "members", members)
+    object.__setattr__(face, "mdeg", mdeg)
+    object.__setattr__(face, "mask", mask)
+    return face
+
+
 @dataclass(frozen=True)
 class Entry:
     """One sparse matrix entry: a nonzero exact scalar times a monomial."""
@@ -83,8 +93,10 @@ class Entry:
     monomial: Monomial
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scalar", Fraction(self.scalar))
-        if self.scalar == 0:
+        # Derived scalars are already Fractions; only wrap what is not.
+        if type(self.scalar) is not Fraction:
+            object.__setattr__(self, "scalar", Fraction(self.scalar))
+        if not self.scalar:
             raise IdealError("zero entries are represented by absence")
 
     @property
@@ -198,26 +210,29 @@ def build_taylor(ideal: MonomialIdeal) -> Resolution:
     q = len(ideal)
     mdegs = _mdeg_by_mask(ideal)
 
+    plus, minus = Fraction(1), Fraction(-1)
+
     modules: list[list[Face]] = []
-    index_of: list[dict[tuple[int, ...], int]] = []
+    index_of: list[dict[int, int]] = []  # face mask -> position in its degree
     for degree in range(q + 1):
-        faces = [
-            Face(members, mdegs[_mask_of(members)])
-            for members in combinations(range(q), degree)
-        ]
+        faces = []
+        for members in combinations(range(q), degree):
+            mask = _mask_of(members)
+            faces.append(_face(members, mdegs[mask], mask))
         modules.append(faces)
-        index_of.append({f.members: i for i, f in enumerate(faces)})
+        index_of.append({f.mask: i for i, f in enumerate(faces)})
 
     diffs: list[DifferentialMatrix | None] = [None]
     for degree in range(1, q + 1):
         entries: dict[tuple[int, int], Entry] = {}
+        facet_index = index_of[degree - 1]
         for ci, face in enumerate(modules[degree]):
-            for pos in range(degree):
-                facet_members = face.members[:pos] + face.members[pos + 1 :]
-                ri = index_of[degree - 1][facet_members]
-                facet = modules[degree - 1][ri]
-                scalar = Fraction(1 if pos % 2 == 0 else -1)
-                entries[(ri, ci)] = Entry(scalar, face.mdeg.exact_div(facet.mdeg))
+            mask, mdeg = face.mask, face.mdeg
+            for pos, member in enumerate(face.members):
+                facet_mask = mask ^ (1 << member)
+                entries[(facet_index[facet_mask], ci)] = Entry(
+                    minus if pos % 2 else plus, mdeg.exact_div(mdegs[facet_mask])
+                )
         diffs.append(
             DifferentialMatrix(list(modules[degree - 1]), list(modules[degree]), entries)
         )

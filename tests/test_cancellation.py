@@ -31,6 +31,7 @@ from monores.taylor import (
     repeated_multidegree_classes,
 )
 from monores.verify import compose_check
+from test_verify import rescale_basis
 
 
 def members(faces):
@@ -157,6 +158,239 @@ def test_equal_faces_hash_equal():
     taylor_face = build_taylor(I("x^2, xy, y^3")).find_face((0, 2))
     again = build_taylor(I("x^2, xy, y^3")).find_face([2, 0])
     assert taylor_face is not again and hash(taylor_face) == hash(again)
+
+
+# --- the fill-in loop against its reference ---------------------------------------
+
+
+def reference_change_of_basis(work, degree, row_face, col_face):
+    """The plain fill-in loop, kept as the reference: dataclass face
+    equality, and one get, one division and one exact_div per position.
+    Used as a method of _ReferenceWork."""
+    pivot = work.get(degree, row_face, col_face)
+    if pivot is None:
+        raise IdealError("no entry there")
+    if not pivot.is_invertible:
+        raise IdealError("pivot is not invertible")
+    old_row = dict(work.by_row[degree].get(row_face, {}))
+    old_col = dict(work.by_col[degree].get(col_face, {}))
+    for d_face, a_rd in old_row.items():
+        if d_face == col_face:
+            continue
+        for c_face, a_cs in old_col.items():
+            if c_face == row_face:
+                continue
+            current = work.get(degree, c_face, d_face)
+            scalar = (Fraction(0) if current is None else current.scalar) - (
+                a_rd.scalar * a_cs.scalar / pivot.scalar
+            )
+            if scalar == 0:
+                if current is not None:
+                    work.delete(degree, c_face, d_face)
+            else:
+                work.set(
+                    degree,
+                    c_face,
+                    d_face,
+                    Entry(scalar, d_face.mdeg.exact_div(c_face.mdeg)),
+                )
+    for d_face in old_row:
+        if d_face != col_face:
+            work.delete(degree, row_face, d_face)
+    for c_face in old_col:
+        if c_face != row_face:
+            work.delete(degree, c_face, col_face)
+    unit = row_face.mdeg.vars.unit()
+    work.set(degree, row_face, col_face, Entry(Fraction(1), unit))
+    if degree + 1 <= work.top:
+        for col in list(work.by_row[degree + 1].get(col_face, {})):
+            work.delete(degree + 1, col_face, col)
+    if degree - 1 >= 1:
+        for row in list(work.by_col[degree - 1].get(row_face, {})):
+            work.delete(degree - 1, row, row_face)
+
+
+class _ReferenceWork(_Work):
+    __slots__ = ()
+    change_of_basis = reference_change_of_basis
+
+
+def clone(work, cls):
+    """A copy of a working resolution that keeps every dict order."""
+    copy = cls.__new__(cls)
+    copy.modules = [dict(m) for m in work.modules]
+    copy.by_col = [{k: dict(v) for k, v in d.items()} for d in work.by_col]
+    copy.by_row = [{k: dict(v) for k, v in d.items()} for d in work.by_row]
+    copy.trail = list(work.trail)
+    copy.pivots = list(work.pivots)
+    return copy
+
+
+def work_state(work):
+    """Everything a working resolution holds, in order, entries included."""
+    return (
+        [list(m) for m in work.modules],
+        [[(k, list(v.items())) for k, v in d.items()] for d in work.by_col],
+        [[(k, list(v.items())) for k, v in d.items()] for d in work.by_row],
+        [(degree, cm, rm) for degree, cm, rm, _, _ in work.pivots],
+        work.trail,
+    )
+
+
+def assert_same_work(work, reference):
+    assert work_state(work) == work_state(reference)
+    for d in work.by_col[1:]:
+        for col, entries in d.items():
+            for row, entry in entries.items():
+                assert type(entry.scalar) is Fraction
+                assert entry.monomial == col.mdeg.exact_div(row.mdeg)
+
+
+@contextmanager
+def fill_in_checked_against_reference():
+    """Replay every change of basis and cancel on an order-keeping copy
+    through the reference loop and require the same entries and order."""
+    steps = []
+    change_of_basis, cancel = _Work.change_of_basis, _Work.cancel
+
+    def checked(method, reference_method):
+        def run(self, *args):
+            reference = clone(self, _ReferenceWork)
+            reference_method(reference, *args)
+            method(self, *args)
+            assert_same_work(self, reference)
+            steps.append(method.__name__)
+
+        return run
+
+    with patch.object(
+        _Work, "change_of_basis", checked(change_of_basis, reference_change_of_basis)
+    ), patch.object(_Work, "cancel", checked(cancel, cancel)):
+        yield steps
+
+
+def with_distinct_equal_faces(res):
+    """The same complex with each module and each matrix's rows and columns
+    holding their own copies of the faces, over a copy of the variable set:
+    equal, equal-hashing, but never the same objects."""
+    vars = VariableSet(tuple(res.modules[0][0].mdeg.vars.names))
+
+    def fresh(faces):
+        return [Face(f.members, Monomial(vars, f.mdeg.exponents)) for f in faces]
+
+    diffs = [None] + [
+        DifferentialMatrix(fresh(d.rows), fresh(d.cols), dict(d.entries))
+        for d in res.diffs[1:]
+    ]
+    return Resolution([fresh(m) for m in res.modules], diffs, list(res.trail))
+
+
+def trail_members(res):
+    return [(e.sigma.members, e.tau.members, e.pivot_scalar) for e in res.trail]
+
+
+def _add_to_entry(entries, key, value, monomial):
+    current = entries.get(key)
+    total = value if current is None else current.scalar + value
+    if total:
+        entries[key] = Entry(total, monomial)
+    else:
+        entries.pop(key, None)
+
+
+def shear_basis(res, rng, count=4):
+    """Change of basis e_g -> e_g + lam * e_f for faces f != g of one degree
+    and one multidegree: column g of the differential out of that degree
+    gains lam times column f, and row f of the one into it loses lam times
+    row g. The result is a complex over the same faces with the same
+    monomial on every entry, but its fill-in lands on entries that it does
+    not cancel, which a Taylor complex (even rescaled) never does."""
+    out = res.copy()
+    pairs = [
+        (degree, f, g)
+        for degree in range(1, out.top + 1)
+        for f, g in combinations(out.modules[degree], 2)
+        if f.mdeg == g.mdeg
+    ]
+    for _ in range(count if pairs else 0):
+        degree, f, g = rng.choice(pairs)
+        if rng.random() < 0.5:
+            f, g = g, f
+        lam = Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 2, 5)))
+        down = out.diffs[degree]
+        fi, gi = down.cols.index(f), down.cols.index(g)
+        for (ri, ci), e in list(down.entries.items()):
+            if ci == fi:
+                _add_to_entry(down.entries, (ri, gi), lam * e.scalar, e.monomial)
+        if degree + 1 <= out.top:
+            up = out.diffs[degree + 1]
+            fi, gi = up.rows.index(f), up.rows.index(g)
+            for (ri, ci), e in list(up.entries.items()):
+                if ri == gi:
+                    _add_to_entry(up.entries, (fi, ci), -lam * e.scalar, e.monomial)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(crowded_ideals(), st.integers(0, 2**16))
+def test_fill_in_matches_reference_after_every_step(ideal, seed):
+    taylor = build_taylor(ideal)
+    # Rescaling the bases makes every pivot scalar a proper fraction, so the
+    # hoisted a_cs / a_rs is not just a sign.
+    rescaled = rescale_basis(taylor, random.Random(seed))
+    sheared = shear_basis(rescaled, random.Random(seed))
+    assert compose_check(sheared) and entry_invariants_hold(sheared)
+    with fill_in_checked_against_reference() as steps:
+        generic = minimize_generic(taylor)
+        deterministic = eliminate_face_facet_pairs(taylor)
+        shuffled = eliminate_face_facet_pairs(taylor, SeededRandom(seed))
+        minimize_generic(shuffled.resolution)
+        scaled = minimize_generic(rescaled)
+        eliminate_face_facet_pairs(rescaled, SeededRandom(seed))
+        assert minimize_generic(sheared).ranks() == generic.ranks()
+        eliminate_face_facet_pairs(sheared)
+    cancels = sum(
+        len(r.trail)
+        for r in (generic, deterministic.resolution, shuffled.resolution, scaled)
+    )
+    assert steps.count("cancel") >= cancels
+    assert steps.count("change_of_basis") == steps.count("cancel")
+    assert all(abs(e.pivot_scalar) != 1 for e in scaled.trail)
+    assert scaled.ranks() == generic.ranks()
+
+
+@settings(max_examples=20, deadline=None)
+@given(crowded_ideals(), st.integers(0, 2**16))
+def test_fill_in_compares_faces_by_value_not_identity(ideal, seed):
+    taylor = build_taylor(ideal)
+    distinct = with_distinct_equal_faces(taylor)
+    with fill_in_checked_against_reference() as steps:
+        shuffled = eliminate_face_facet_pairs(taylor, SeededRandom(seed))
+        # Scripted faces come from the modules, pivots from the matrices.
+        script = [(e.sigma.members, e.tau.members) for e in shuffled.resolution.trail]
+        replay = eliminate_face_facet_pairs(distinct, Scripted(script))
+        generic = minimize_generic(distinct)
+        pivots = find_invertible_entries(distinct)
+        if pivots:
+            degree, row, col = pivots[0]
+            rows = distinct.find_face(row.members)
+            cols = distinct.find_face(col.members)
+            assert rows is not row and cols is not col
+            standard_cancellation(distinct, degree, rows, cols)
+    assert trail_members(replay.resolution) == trail_members(shuffled.resolution)
+    assert trail_members(generic) == trail_members(minimize_generic(taylor))
+    assert steps.count("cancel") >= len(script) + len(generic.trail)
+
+
+def test_fill_in_through_non_facet_pivots_on_distinct_faces():
+    taylor = build_taylor(I("x^2y^2z^2, xw^2, yw^2, zw"))
+    script = Scripted((((0, 1, 2, 3), (0, 1, 3)), ((0, 1, 2), (0, 2))))
+    with fill_in_checked_against_reference() as steps:
+        stuck = eliminate_face_facet_pairs(with_distinct_equal_faces(taylor), script)
+        minimal = minimize_generic(with_distinct_equal_faces(stuck.resolution))
+    assert stuck.status == "stuck"
+    assert minimal.ranks() == (1, 4, 4, 1, 0)
+    assert steps.count("cancel") == 2 + 1
 
 
 # --- standard change of basis ---------------------------------------------------

@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import I, ideals
 from monores.monomials import (
+    MAX_EXPONENT,
     IdealError,
     Monomial,
     MonomialIdeal,
@@ -12,6 +15,7 @@ from monores.monomials import (
     minimalize,
     total_degree,
 )
+from monores.taylor import Entry
 
 XYZ = VariableSet(("x", "y", "z"))
 
@@ -168,3 +172,85 @@ def test_minimalize_idempotent(ideal):
     again, removed = minimalize(ideal.vars, list(ideal.generators))
     assert not removed
     assert again.generators == ideal.generators
+
+
+# --- validated at the boundary, derived values trusted ------------------------
+
+
+@pytest.mark.parametrize(
+    "exponents, message",
+    [
+        ((-1, 0, 0), "nonnegative integers"),
+        ((0, 1.0, 0), "nonnegative integers"),
+        ((0, 0, Fraction(1)), "nonnegative integers"),
+        ((0, "2", 0), "nonnegative integers"),
+        ((MAX_EXPONENT + 1, 0, 0), "exceeds the cap"),
+        ((1, 2), "expected 3 exponents"),
+        ((1, 2, 3, 4), "expected 3 exponents"),
+    ],
+)
+def test_public_constructors_still_validate(exponents, message):
+    with pytest.raises(IdealError, match=message):
+        Monomial(XYZ, exponents)
+    with pytest.raises(IdealError, match=message):
+        XYZ.monomial(exponents)
+
+
+def test_exact_div_rejects_a_non_divisor():
+    with pytest.raises(IdealError, match="does not divide"):
+        m(2, 1, 0).exact_div(m(1, 2, 0))
+    with pytest.raises(IdealError, match="does not divide"):
+        XYZ.unit().exact_div(m(0, 0, 1))
+
+
+def test_product_past_the_cap_is_rejected():
+    top = m(MAX_EXPONENT)
+    assert (top * XYZ.unit()).exponents == (MAX_EXPONENT, 0, 0)
+    with pytest.raises(IdealError, match="exceeds the cap"):
+        top * m(1)
+
+
+def test_different_variable_sets_are_rejected():
+    other = VariableSet(("x", "y", "w"))
+    a = Monomial(other, (1, 0, 0))
+    for op in (m(1).lcm, m(1).__mul__, m(1).exact_div, m(1).divides):
+        with pytest.raises(IdealError, match="different variable sets"):
+            op(a)
+    # Equal variable sets that are distinct objects still combine.
+    same = Monomial(VariableSet(("x", "y", "z")), (1, 0, 0))
+    assert m(2).exact_div(same) == m(1)
+
+
+def validated(result):
+    """The same exponents, built through the validating constructor."""
+    return Monomial(result.vars, tuple(result.exponents))
+
+
+def assert_same_as_validated(result):
+    again = validated(result)
+    assert type(result) is Monomial and type(result.exponents) is tuple
+    assert result == again and again == result
+    assert hash(result) == hash(again)
+
+
+@given(MS, MS)
+def test_derived_monomials_equal_validated_ones(a, b):
+    assert_same_as_validated(a.lcm(b))
+    assert_same_as_validated(a * b)
+    assert (a * b).exact_div(b) == a
+    assert_same_as_validated((a * b).exact_div(b))
+    assert_same_as_validated(a.lcm(b).exact_div(a))
+    assert_same_as_validated(XYZ.unit())
+    assert_same_as_validated(lcm([], vars=XYZ))
+    assert {a.lcm(b): 1}[validated(a.lcm(b))] == 1
+
+
+def test_entry_rejects_zero_and_wraps_scalars():
+    mono = m(1, 2)
+    for zero in (0, Fraction(0), Fraction(0, 7)):
+        with pytest.raises(IdealError, match="absence"):
+            Entry(zero, mono)
+    two = Entry(2, mono)
+    assert type(two.scalar) is Fraction and two.scalar == Fraction(2)
+    half = Fraction(1, 2)
+    assert Entry(half, mono).scalar is half

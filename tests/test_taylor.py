@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -189,6 +190,23 @@ def test_facet_multidegrees_divide(ideal):
             assert row.mdeg.divides(col.mdeg)
             assert entry.monomial == col.mdeg.exact_div(row.mdeg)
             assert entry.scalar in (Fraction(1), Fraction(-1))
+
+
+@settings(max_examples=40)
+@given(ideals())
+def test_taylor_faces_equal_validated_faces(ideal):
+    # build_taylor skips Face validation; its faces must be the ones the
+    # public constructor would build, with the same mask and hash.
+    res = build_taylor(ideal)
+    for degree, module in enumerate(res.modules):
+        assert [f.members for f in module] == list(
+            combinations(range(len(ideal)), degree)
+        )
+        for face in module:
+            again = Face(face.members, face.mdeg)
+            assert face == again and face.mask == again.mask
+            assert hash(face) == hash(again)
+            assert type(face.members) is tuple
 
 
 @settings(max_examples=30)
