@@ -33,6 +33,7 @@ from .invariants import (
     scarf_face_counts,
 )
 from .monomials import (
+    MAX_EXPONENT,
     CapExceededError,
     IdealError,
     Monomial,
@@ -129,14 +130,12 @@ def _scan(text: str) -> tuple[list[dict[str, int]], list[str]]:
             exponent = 1
             if pos < n and text[pos] == "^":
                 pos += 1
-                if pos >= n or not text[pos].isdigit():
+                if pos >= n or not text[pos].isdecimal():
                     raise ParseError("expected digits after '^'", pos)
                 digits_start = pos
-                while pos < n and text[pos].isdigit():
+                while pos < n and text[pos].isdecimal():
                     pos += 1
-                exponent = int(text[digits_start:pos])
-                if exponent <= 0:
-                    raise ParseError("exponent must be positive", digits_start)
+                exponent = _exponent(text[digits_start:pos], digits_start)
             if name not in current and name not in var_order:
                 var_order.append(name)
             current[name] = current.get(name, 0) + exponent
@@ -157,14 +156,32 @@ def _scan(text: str) -> tuple[list[dict[str, int]], list[str]]:
     return generators, var_order
 
 
+def _exponent(digits: str, position: int) -> int:
+    """The value of a run of decimal digits, in any script.
+
+    A run with more significant digits than MAX_EXPONENT is over it and
+    is rejected before `int` sees it, since `int` refuses strings past
+    Python's int-string limit.
+    """
+    zeros = 0
+    while zeros < len(digits) and int(digits[zeros]) == 0:
+        zeros += 1
+    significant = digits[zeros:]
+    if len(significant) > len(str(MAX_EXPONENT)):
+        raise ParseError(f"exponent exceeds the cap of {MAX_EXPONENT}", position)
+    if not significant:
+        raise ParseError("exponent must be positive", position)
+    return int(significant)
+
+
 def _project_to_support(ideal: MonomialIdeal) -> MonomialIdeal:
-    """Drop variables no surviving generator uses (keeps round-tripping)."""
-    used = [
-        v
-        for v in range(len(ideal.vars))
-        if any(g.exponents[v] > 0 for g in ideal.generators)
-    ]
-    if len(used) == len(ideal.vars):
+    """Keep the variables the surviving generators use, in the order they
+    first appear in the printed generators, so that printing and parsing
+    again gives the same ideal."""
+    used: list[int] = []
+    for g in ideal.generators:
+        used += [v for v, e in enumerate(g.exponents) if e and v not in used]
+    if used == list(range(len(ideal.vars))):
         return ideal
     vars = VariableSet(tuple(ideal.vars.names[v] for v in used))
     gens = tuple(

@@ -20,13 +20,33 @@ multidegrees, so checking the lcm lattice suffices; an exhaustive mode
 over every multidegree below the top lcm is available for tiny inputs
 as a cross-check of that standard fact.
 
-Each `strand_exactness` call indexes the resolution once: faces grouped
-by multidegree per degree, every multidegree packed into one int so that
-divisibility is a single integer test, and every differential held as
-sparse integer columns (each scaled once by the lcm of its
-denominators). A strand is then a selection of face indices, and each of
-its maps is ranked by the same sparse elimination over the integers
-that `matrix_rank_exact` uses.
+Each `strand_exactness` call indexes the resolution once. Every
+differential becomes sparse integer columns, all scaled by one constant,
+the lcm of that matrix's denominators; this keeps every rank and keeps a
+zero product of two matrices zero. A strand's faces are read off
+per-variable threshold bitsets, one AND per variable.
+
+Each strand is first ranked over GF(2), from one bitmask per column of
+its odd entries, by XOR elimination. For an integer matrix
+rank_GF(2) <= rank_Q, since a minor that is odd is nonzero. If in
+addition the strand is a complex over Q, then
+rank_Q(d_j) + rank_Q(d_{j+1}) <= dims[j] for every j. So when the GF(2)
+ranks already meet dims[j] = ranks[j] + ranks[j+1] at every degree,
+each of those inequalities is an equality and the GF(2) ranks are the
+rational ranks: the strand is certified exact, with the same report an
+exact computation would give. The strand is a complex over Q under two
+preconditions, which the index checks once from its own data:
+
+- every entry's row face divides its column face, so each strand is a
+  subcomplex (a column inside it has all its rows inside it);
+- the scaled scalar matrices compose to zero, so each restriction does.
+
+Only strands with ranks[0] = 0, where no augmentation term enters the
+equations, are certified. Every other strand, and every strand of a
+resolution that fails a precondition, is ranked exactly over the
+integers by the sparse fraction-free elimination that
+`matrix_rank_exact` uses. A certificate can only confirm exactness; an
+inexact strand is always reported from exact ranks.
 
 `compose_check` sums d∘d over Python ints as well. It keeps one sum per
 (row, column, monomial), so terms of different monomials never cancel.
@@ -42,13 +62,15 @@ sum against each other.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import accumulate, product
 from math import gcd, lcm
+from operator import or_
 from typing import Iterable, Sequence
 
-from .cancellation import minimize_generic
+from .cancellation import _bits, minimize_generic
 from .monomials import CapExceededError, Monomial, MonomialIdeal
 from .taylor import Resolution, build_taylor, lcm_lattice, strip_trailing_zeros
 
@@ -64,28 +86,34 @@ class OracleDisagreementError(RuntimeError):
 def matrix_rank_exact(rows: Sequence[Sequence[Fraction | int]]) -> int:
     """Rank over the rationals of a dense matrix given as rows.
 
-    A thin adapter onto the sparse kernel the strand oracle uses: each
-    column becomes a sparse integer vector, scaled by the lcm of its
-    denominators, and the columns are ranked by fraction-free integer
-    elimination.
+    A thin adapter onto the sparse kernel the strand oracle uses: the
+    matrix becomes sparse integer columns, scaled by the lcm of its
+    denominators, ranked by fraction-free integer elimination.
     """
-    if not rows or not rows[0]:
-        return 0
     return _sparse_rank(
-        _integer_column({i: row[j] for i, row in enumerate(rows) if row[j]})
-        for j in range(len(rows[0]))
+        _integer_columns(
+            {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row) if x}
+        ).values()
     )
 
 
-def _integer_column(values: dict[int, Fraction | int]) -> dict[int, int]:
-    """A sparse rational column times the lcm of its denominators.
+def _integer_columns(
+    entries: dict[tuple[int, int], Fraction | int]
+) -> dict[int, dict[int, int]]:
+    """A sparse rational matrix, keyed (row, column), as integer columns.
 
-    Scaling a column by a nonzero constant keeps the rank, and restricting
-    a scaled column to some rows gives the scaled restriction, so a column
-    can be scaled once and then restricted to any strand.
+    Every entry is multiplied by one constant, the lcm of all the
+    denominators. That keeps the rank, keeps a zero product of two
+    matrices zero, and restricting the scaled matrix to some rows and
+    columns gives the scaled restriction, so one integer form serves
+    every strand.
     """
-    scale = lcm(*(x.denominator for x in values.values()))
-    return {r: x.numerator * (scale // x.denominator) for r, x in values.items()}
+    ratios = [(key, x.as_integer_ratio()) for key, x in entries.items()]
+    scale = lcm(*(d for _, (_, d) in ratios))
+    columns: dict[int, dict[int, int]] = {}
+    for (ri, ci), (n, d) in ratios:
+        columns.setdefault(ci, {})[ri] = n * (scale // d)
+    return columns
 
 
 def _sparse_rank(columns: Iterable[dict[int, int]]) -> int:
@@ -139,8 +167,8 @@ def compose_check(res: Resolution) -> bool:
     monomial), so packed(a) + packed(b) is packed(a * b) with no carry.
     Scalars are scaled by one lcm of denominators per matrix, which
     multiplies every d∘d sum of a degree by the same nonzero constant;
-    per-column scaling, as in the strand index, would reweight the lower
-    matrix's terms of one sum against each other.
+    per-column scaling would reweight the lower matrix's terms of one sum
+    against each other.
     """
     largest = max(
         (
@@ -203,76 +231,76 @@ class StrandReport:
 class _StrandIndex:
     """One resolution indexed for the strand criterion at many multidegrees.
 
-    Built once per `strand_exactness` call. Every multidegree in play is
-    packed into one int: exponent i occupies a field of `width` bits whose
-    top bit is a guard, so with G the mask of all guard bits, e divides b
-    exactly when ((b | G) - e) & G == G (a field borrows from its guard
-    bit precisely when e_i > b_i, and never from the next field). The
-    width must hold the largest exponent of the faces and of the targets
-    alike, since a target can exceed every face; the generators divide
-    the top lcm, which is always a target.
+    Built once per `strand_exactness` call. Every differential is held
+    as sparse integer columns, scaled once by the lcm of that matrix's
+    denominators, and as one bitmask per column of its odd entries.
+
+    The faces of all degrees and then the generators are numbered in one
+    sequence, so a set of them is one int. A strand's faces are found
+    with per-variable threshold bitsets: for each variable and each
+    exponent t that a face or generator carries there, the set of those
+    whose exponent is at most t. ANDing one bitset per variable gives
+    everything that divides the target; its slices are the strand's
+    faces per degree, and its generator slice says whether the target
+    lies in the ideal.
+
+    `certifiable` holds when the index's own data meet both preconditions
+    of the GF(2) certificate: every entry's row face divides its column
+    face, and the scaled scalar matrices compose to zero.
     """
 
-    def __init__(
-        self, res: Resolution, ideal: MonomialIdeal, targets: Sequence[Monomial]
-    ) -> None:
-        faces = (face.mdeg for face in res.iter_faces())
-        largest = max(
-            (e for m in chain(faces, targets) for e in m.exponents), default=0
-        )
-        self.width = largest.bit_length() + 1
-        self.guard = sum(
-            1 << (self.width * (i + 1) - 1) for i in range(len(ideal.vars))
-        )
-        self.generators = [self.pack(g) for g in ideal.generators]
-        # Per degree: packed multidegree -> indices of the faces carrying it.
-        self.groups: list[dict[int, list[int]]] = []
-        for module in res.modules:
-            groups: dict[int, list[int]] = {}
-            for i, face in enumerate(module):
-                groups.setdefault(self.pack(face.mdeg), []).append(i)
-            self.groups.append(groups)
+    def __init__(self, res: Resolution, ideal: MonomialIdeal) -> None:
+        self.sizes = [len(module) for module in res.modules]
+        self.offsets = list(accumulate(self.sizes, initial=0))
+        items = [face.mdeg.exponents for face in res.iter_faces()]
+        items += [g.exponents for g in ideal.generators]
+        # Per variable: the exponents carried, ascending, and for the k-th
+        # the set of items whose exponent is at most it (below[v][0] = 0).
+        self.values: list[list[int]] = []
+        self.below: list[list[int]] = []
+        for v in range(len(ideal.vars)):
+            by_exponent: dict[int, int] = {}
+            for i, exponents in enumerate(items):
+                e = exponents[v]
+                by_exponent[e] = by_exponent.get(e, 0) | 1 << i
+            values = sorted(by_exponent)
+            self.values.append(values)
+            self.below.append(
+                list(accumulate((by_exponent[e] for e in values), or_, initial=0))
+            )
         # Per differential: sparse integer columns, keyed by column index.
         self.columns: list[dict[int, dict[int, int]]] = [{}]
         for matrix in res.diffs[1:]:
             assert matrix is not None
-            by_col: dict[int, dict[int, Fraction]] = {}
-            for (ri, ci), entry in matrix.entries.items():
-                by_col.setdefault(ci, {})[ri] = entry.scalar
             self.columns.append(
-                {ci: _integer_column(col) for ci, col in by_col.items()}
+                _integer_columns({k: e.scalar for k, e in matrix.entries.items()})
             )
-
-    def pack(self, m: Monomial) -> int:
-        return _pack(m.exponents, self.width)
+        # Per differential and column index: the rows of the odd entries.
+        self.odd = [[0] * size for size in self.sizes]
+        for odd, columns in zip(self.odd, self.columns):
+            for ci, column in columns.items():
+                odd[ci] = sum(1 << r for r, x in column.items() if x & 1)
+        self.certifiable = _entries_divide(
+            res, len(ideal.vars)
+        ) and _composes_to_zero(self.columns)
 
     def report(self, b: Monomial) -> StrandReport:
-        guard = self.guard
-        target = self.pack(b) | guard
+        divisors = -1
+        for values, below, e in zip(self.values, self.below, b.exponents):
+            divisors &= below[bisect_right(values, e)]
         present = [
-            [
-                i
-                for packed, faces in groups.items()
-                if (target - packed) & guard == guard
-                for i in faces
-            ]
-            for groups in self.groups
+            divisors >> offset & ((1 << size) - 1)
+            for offset, size in zip(self.offsets, self.sizes)
         ]
+        covered = divisors >> self.offsets[-1] != 0
         top = len(present) - 1
-        dims = [len(faces) for faces in present]
+        dims = [mask.bit_count() for mask in present]
         ranks = [0] * (top + 1)
-        covered = any((target - g) & guard == guard for g in self.generators)
         ranks[0] = 0 if covered else 1
+        if covered and self.certifiable and self._certify(present, dims, ranks):
+            return StrandReport(b, tuple(dims), tuple(ranks), True, None)
         for degree in range(1, top + 1):
-            if not present[degree - 1] or not present[degree]:
-                continue
-            rows = set(present[degree - 1])
-            columns = self.columns[degree]
-            ranks[degree] = _sparse_rank(
-                {r: x for r, x in columns[ci].items() if r in rows}
-                for ci in present[degree]
-                if ci in columns
-            )
+            ranks[degree] = self._exact_rank(present, degree)
 
         exact = True
         failure = None
@@ -284,6 +312,85 @@ class _StrandIndex:
                 break
         return StrandReport(b, tuple(dims), tuple(ranks), exact, failure)
 
+    def _certify(self, present: list[int], dims: list[int], ranks: list[int]) -> bool:
+        """Whether the GF(2) ranks meet the exactness equations; if they
+        do, ranks[1:] holds them.
+
+        Top degree first, so that the first unmet equation stops the work.
+        """
+        above = 0
+        for degree in range(len(present) - 1, 0, -1):
+            odd = self.odd[degree]
+            rank = _gf2_rank([odd[ci] for ci in _bits(present[degree])])
+            if dims[degree] != rank + above:
+                return False
+            ranks[degree] = above = rank
+        return dims[0] == ranks[0] + above
+
+    def _exact_rank(self, present: list[int], degree: int) -> int:
+        if not present[degree - 1] or not present[degree]:
+            return 0
+        rows = set(_bits(present[degree - 1]))
+        columns = self.columns[degree]
+        return _sparse_rank(
+            {r: x for r, x in columns[ci].items() if r in rows}
+            for ci in _bits(present[degree])
+            if ci in columns
+        )
+
+
+def _entries_divide(res: Resolution, n_vars: int) -> bool:
+    """Whether every entry's row face divides its column face.
+
+    Multidegrees are packed into one int each: exponent i occupies a
+    field of `width` bits whose top bit is a guard, so with G the mask
+    of all guard bits, e divides b exactly when ((b | G) - e) & G == G (a
+    field borrows from its guard bit precisely when e_i > b_i, and never
+    from the next field).
+    """
+    largest = max(
+        (e for face in res.iter_faces() for e in face.mdeg.exponents), default=0
+    )
+    width = largest.bit_length() + 1
+    guard = sum(1 << (width * (i + 1) - 1) for i in range(n_vars))
+    packed = [
+        [_pack(face.mdeg.exponents, width) for face in module]
+        for module in res.modules
+    ]
+    return all(
+        ((packed[degree][ci] | guard) - packed[degree - 1][ri]) & guard == guard
+        for degree, matrix in enumerate(res.diffs[1:], 1)
+        for ri, ci in matrix.entries
+    )
+
+
+def _composes_to_zero(columns: Sequence[dict[int, dict[int, int]]]) -> bool:
+    """Whether each integer matrix, given by sparse columns, times the next
+    one is the zero matrix."""
+    for lower, upper in zip(columns[1:], columns[2:]):
+        for column in upper.values():
+            sums: dict[int, int] = {}
+            for mid, y in column.items():
+                for r, x in lower.get(mid, {}).items():
+                    sums[r] = sums.get(r, 0) + x * y
+            if any(sums.values()):
+                return False
+    return True
+
+
+def _gf2_rank(columns: Iterable[int]) -> int:
+    """Rank over GF(2) of columns given as bitmasks, by XOR elimination."""
+    pivots: dict[int, int] = {}
+    for vec in columns:
+        while vec:
+            low = vec & -vec
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = vec
+                break
+            vec ^= pivot
+    return len(pivots)
+
 
 def strand_exactness(
     res: Resolution, ideal: MonomialIdeal, exhaustive: bool = False
@@ -292,6 +399,14 @@ def strand_exactness(
 
     The default iterates the lcm lattice minus the unit. Exhaustive mode
     iterates every multidegree bounded by the top lcm, unit included.
+
+    A strand inside the ideal (ranks[0] = 0) is certified exact when its
+    GF(2) ranks meet the exactness equations at every degree, provided
+    every entry's row face divides its column face and the scaled scalar
+    matrices compose to zero; those ranks then equal the rational ones.
+    Every other strand, and every strand when a precondition fails, is
+    ranked exactly over the integers. Either way the reports are the
+    ones exact ranks give.
     """
     if exhaustive:
         top = lcm_lattice(ideal).monomials[-1]
@@ -309,7 +424,7 @@ def strand_exactness(
         ]
     else:
         targets = [b for b in lcm_lattice(ideal).monomials if not b.is_unit]
-    index = _StrandIndex(res, ideal, targets)
+    index = _StrandIndex(res, ideal)
     return [index.report(b) for b in targets]
 
 

@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monores.cli import (
     ParseError,
@@ -11,7 +12,7 @@ from monores.cli import (
     random_ideal_of_class,
 )
 from monores.dominance import classify
-from monores.monomials import IdealError
+from monores.monomials import MAX_EXPONENT, IdealError
 
 
 def run_json(capsys, argv):
@@ -110,6 +111,75 @@ def test_parse_errors_with_positions():
         parse_ideal("x, , y")
     with pytest.raises(ParseError):
         parse_ideal("2x")
+
+
+@pytest.mark.parametrize(
+    "text, names", [("x^2*z, y, x", ("y", "x")), ("w*x, y*x, w", ("x", "y", "w"))]
+)
+def test_parse_non_minimal_input_round_trips(text, names):
+    # The dropped generator carried the first appearance of x (and of y):
+    # the surviving variables are ordered as the printed generators show them.
+    ideal = parse_ideal(text).ideal
+    assert ideal.vars.names == names
+    assert parse_ideal(str(ideal)).ideal == ideal
+
+
+@pytest.mark.parametrize("text", ["x^²", "x^¹⁰", "x*y^³, y^2"])
+def test_parse_rejects_superscript_exponents(text):
+    with pytest.raises(ParseError, match="expected digits"):
+        parse_ideal(text)
+
+
+def test_parse_accepts_decimal_digits_of_any_script():
+    # Arabic-Indic 3 and 12, and leading zeros in both scripts.
+    assert parse_ideal("x^٣, y^١٢").ideal == parse_ideal("x^3, y^12").ideal
+    assert parse_ideal("x^0003, y^٠٠٢").ideal == parse_ideal("x^3, y^2").ideal
+    with pytest.raises(ParseError, match="exponent must be positive"):
+        parse_ideal("x^٠٠")
+
+
+@pytest.mark.parametrize("digits", [8, 4300, 4301, 100_000])
+def test_parse_rejects_overlong_exponents(digits):
+    # Past 4300 digits int() itself refuses the string; the parser must
+    # reject the run as over the cap before it gets there.
+    with pytest.raises(ParseError, match=f"exceeds the cap of {MAX_EXPONENT}"):
+        parse_ideal("x*y, x^" + "9" * digits)
+    assert parse_ideal("x^" + "0" * digits + "7").ideal == parse_ideal("x^7").ideal
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x^²", "x^¹⁰", "x^" + "9" * 5000, "x^" + "1" * 8],
+    ids=["superscript", "superscripts", "5000-digits", "8-digits"],
+)
+def test_cli_rejects_bad_exponents_with_exit_1(capsys, text):
+    assert main(["classify", text]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+_HOSTILE = st.text(
+    alphabet=st.sampled_from(
+        list("xyzXab")
+        + list("0123456789")
+        + list("٠١٢٣٩")  # Arabic-Indic digits
+        + list("⁰¹²³⁹")  # superscript digits
+        + list("^*,")
+        + list(" \t\n\u00a0")
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_HOSTILE)
+def test_parse_hostile_text_returns_or_raises_ideal_error(text):
+    try:
+        spec = parse_ideal(text)
+    except IdealError:
+        return
+    assert parse_ideal(str(spec.ideal)).ideal == spec.ideal
 
 
 # --- random generation -----------------------------------------------------------

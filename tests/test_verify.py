@@ -455,7 +455,8 @@ def test_strand_exactness_matches_dense_reference(ideal):
 
 def test_strand_packing_covers_targets_above_every_face():
     # With the x^4 faces gone, every face exponent is at most 1 while the
-    # lattice still reaches x^4: packing must be as wide as the targets.
+    # lattice still reaches x^4: face selection must cover targets above
+    # every face.
     M = I("x^4, y")
     y = M.generators[1]
     unit_face = Face((), M.vars.unit())
@@ -515,6 +516,110 @@ def test_strand_exactness_matches_reference_on_rational_scalars(ideal, seed):
     assert strands_all_exact(strand_exactness(rescaled, ideal))
     for res in (rescaled, minimize_generic(rescaled), flip_one_sign(rescaled)):
         assert_strands_match_reference(res, ideal)
+
+
+def scale_face(res, degree, index, factor):
+    """The change of basis f -> factor * f on one face f.
+
+    Column f of d_degree is multiplied by factor and row f of
+    d_(degree + 1) divided by it, so the result is isomorphic to res.
+    """
+    out = res.copy()
+    matrix = out.diffs[degree]
+    for key, e in list(matrix.entries.items()):
+        if key[1] == index:
+            matrix.entries[key] = Entry(e.scalar * factor, e.monomial)
+    if degree < out.top:
+        matrix = out.diffs[degree + 1]
+        for key, e in list(matrix.entries.items()):
+            if key[0] == index:
+                matrix.entries[key] = Entry(e.scalar / factor, e.monomial)
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(ideals(min_gens=2, max_gens=4), st.integers(0, 10**6))
+def test_strands_exact_with_an_even_scalar(ideal, seed):
+    # Doubling the top face makes the top column even, so its strands have
+    # GF(2) rank 0 where the rational rank is 1; doubling or halving any
+    # other face puts even scalars inside other strands. Each stays exact,
+    # which only the exact ranks can show.
+    assume(len(ideal) >= 2)
+    rng = random.Random(seed)
+    taylor = build_taylor(ideal)
+    degree = rng.randrange(1, taylor.top)
+    index = rng.randrange(len(taylor.modules[degree]))
+    for res in (
+        scale_face(taylor, taylor.top, 0, 2),
+        scale_face(taylor, degree, index, 2),
+        scale_face(taylor, degree, index, Fraction(1, 2)),
+    ):
+        assert compose_check(res)
+        assert strands_all_exact(strand_exactness(res, ideal))
+        assert_strands_match_reference(res, ideal)
+
+
+@pytest.mark.parametrize(
+    "text", ["x^2, x*y, y^3", "xy, yz, xz", "x^3y, y^2z, xz^2, xyz"]
+)
+def test_strands_after_a_sign_flip_match_reference(text):
+    # A flipped sign is invisible mod 2: the GF(2) ranks still look exact,
+    # and only the d∘d precondition keeps the certificate from applying.
+    M = I(text)
+    mutant = flip_one_sign(build_taylor(M))
+    assert not compose_check(mutant)
+    assert not strands_all_exact(strand_exactness(mutant, M))
+    assert_strands_match_reference(mutant, M)
+
+
+def test_strands_when_d_squared_vanishes_only_outside_the_strand():
+    # Faces (mdeg): e (1); a (x), z (y); c (x), w (y); t (x), by degree.
+    # At b = x the strand is e <- a <- c <- t with scalars 1, 2, 1: GF(2)
+    # ranks 1, 0, 1 meet dims (1, 1, 1, 1), rational ranks 1, 1, 1 do not.
+    # Its d∘d is nonzero; the full one cancels 1*2 against the entries
+    # (e, z) * (z, c) = 1 * -2 and (a, w) * (w, t) = 1 * -2. The row faces
+    # of (z, c), (a, w) and (w, t) do not divide their column faces, so
+    # the certificate must not apply.
+    M = I("x, y")
+    x, y = M.generators
+    unit = M.vars.unit()
+    e = [Face((), unit)]
+    mid = [Face((0,), x), Face((1,), y)]
+    upper = [Face((0, 1), x), Face((0, 2), y)]
+    top = [Face((0, 1, 2), x)]
+    d1 = DifferentialMatrix(e, mid, {(0, 0): Entry(1, x), (0, 1): Entry(1, y)})
+    d2 = DifferentialMatrix(
+        mid,
+        upper,
+        {
+            (0, 0): Entry(2, unit),
+            (1, 0): Entry(-2, unit),
+            (0, 1): Entry(1, unit),
+            (1, 1): Entry(-1, unit),
+        },
+    )
+    d3 = DifferentialMatrix(
+        upper, top, {(0, 0): Entry(1, unit), (1, 0): Entry(-2, unit)}
+    )
+    res = Resolution([e, mid, upper, top], [None, d1, d2, d3], [])
+    scalars = [
+        {k: v.scalar for k, v in d.entries.items()} for d in res.diffs[1:]
+    ]
+    assert all(
+        sum(
+            lower.get((r, m), 0) * higher.get((m, c), 0)
+            for m in range(len(res.modules[j + 1]))
+        )
+        == 0
+        for j, (lower, higher) in enumerate(zip(scalars, scalars[1:]))
+        for r in range(len(res.modules[j]))
+        for c in range(len(res.modules[j + 2]))
+    )
+    assert_strands_match_reference(res, M)
+    at_x = next(r for r in strand_exactness(res, M) if str(r.multidegree) == "x")
+    assert at_x.dims == (1, 1, 1, 1)
+    assert at_x.ranks == (0, 1, 1, 1)
+    assert not at_x.exact and at_x.failure_degree == 1
 
 
 # --- minimality --------------------------------------------------------------------
