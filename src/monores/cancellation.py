@@ -47,18 +47,20 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .dominance import classify
-from .monomials import IdealError, Monomial, MonomialIdeal
+from .dominance import _dominance_split
+from .monomials import IdealError, MonomialIdeal
 from .taylor import (
     DifferentialMatrix,
     Entry,
     Face,
     Resolution,
-    _check_cap,
+    _bits,
+    _face_from_mask,
     _mask_of,
     _mdeg_by_mask,
+    _subsets_by_lcm,
     face_with_members,
     repeated_multidegree_classes,
 )
@@ -415,13 +417,10 @@ def semidominant_pair_set_A(ideal: MonomialIdeal) -> list[tuple[Face, Face]]:
     equal multidegree in the Taylor complex, so cancelling all of them
     (in any order) yields the minimal resolution.
     """
-    report = classify(ideal)
-    if report.p != 1:
-        raise IdealError("pair set is defined for semidominant ideals only")
-    _check_cap(ideal)
-    (n_index,) = report.nondominant_indices
+    (n_index,), dominant_indices = _dominance_split(
+        ideal, 1, "pair set is defined for semidominant ideals only"
+    )
     n = ideal.generators[n_index]
-    dominant_indices = [i for i in range(len(ideal)) if i != n_index]
     mdegs = _mdeg_by_mask(ideal)
     pairs = []
     for size in range(1, len(dominant_indices) + 1):
@@ -449,51 +448,27 @@ class Theorem71Report:
 
 
 def check_theorem71_hypothesis(ideal: MonomialIdeal) -> Theorem71Report:
-    _check_cap(ideal)
-    q = len(ideal)
-    mdegs = _mdeg_by_mask(ideal)
-    by_mdeg: dict[Monomial, list[int]] = {}
-    for mask in range(1 << q):
-        by_mdeg.setdefault(mdegs[mask], []).append(mask)
-
-    violations: set[tuple[Face, Face, Face]] = set()
-    for mdeg, masks in sorted(by_mdeg.items(), key=lambda kv: kv[0].exponents):
+    mdegs, classes = _subsets_by_lcm(ideal)
+    violations: set[tuple[int, int, int]] = set()
+    for masks in classes:
         if len(masks) < 3:
             continue
         mask_set = set(masks)
         for tau_mask in masks:
-            size = bin(tau_mask).count("1")
+            size = tau_mask.bit_count()
             supersets = [
                 m
                 for m in masks
-                if bin(m).count("1") == size + 1 and (m & tau_mask) == tau_mask
+                if m.bit_count() == size + 1 and (m & tau_mask) == tau_mask
             ]
             if len(supersets) < 2:
                 continue
-            for sigma1_mask, sigma2_mask in combinations(supersets, 2):
-                for sigma_mask in (sigma1_mask, sigma2_mask):
-                    for bit in _bits(sigma_mask):
-                        other_facet = sigma_mask & ~(1 << bit)
-                        if other_facet != tau_mask and other_facet in mask_set:
-                            violations.add(
-                                (
-                                    _face_from_mask(tau_mask, mdegs),
-                                    _face_from_mask(sigma_mask, mdegs),
-                                    _face_from_mask(other_facet, mdegs),
-                                )
-                            )
-    ordered = tuple(
-        sorted(violations, key=lambda t: tuple(f.sort_key() for f in t))
-    )
+            for sigma_mask in supersets:
+                for bit in _bits(sigma_mask):
+                    other_facet = sigma_mask & ~(1 << bit)
+                    if other_facet != tau_mask and other_facet in mask_set:
+                        violations.add((tau_mask, sigma_mask, other_facet))
+    witnesses = [tuple(_face_from_mask(m, mdegs) for m in t) for t in violations]
+    ordered = tuple(sorted(witnesses, key=lambda t: tuple(f.sort_key() for f in t)))
     return Theorem71Report(not ordered, ordered)
 
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _face_from_mask(mask: int, mdegs: Sequence[Monomial]) -> Face:
-    return Face(tuple(_bits(mask)), mdegs[mask])

@@ -1,8 +1,10 @@
-"""Command-line front end: parse ideals, dispatch computations, emit reports.
+"""Command-line front end: read ideals, dispatch computations, emit reports.
 
-Exit codes: 0 success, 1 user error, 2 size cap exceeded, 3 internal
-oracle disagreement. JSON output carries a stable versioned schema; the
-default output is a compact human-readable report.
+This module holds only argument parsing, the commands and their JSON and
+text encoders; parsing, random generation and the invariants cross-check
+are library code. Exit codes: 0 success, 1 user error, 2 size cap
+exceeded, 3 internal oracle disagreement. JSON output carries a stable
+versioned schema; the default output is a compact human-readable report.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from .cancellation import (
     Deterministic,
@@ -22,24 +23,30 @@ from .cancellation import (
     eliminate_face_facet_pairs,
     minimize_generic,
 )
-from .dominance import classify, is_complete_intersection, is_generic
+from .dominance import (
+    classify,
+    is_complete_intersection,
+    is_generic,
+    random_ideal_of_class,
+)
 from .invariants import (
     InvariantsReport,
-    betti_dominant,
-    invariants_from_resolution,
-    invariants_semidominant,
+    invariants_with_cross_check,
     is_scarf,
     scarf_complex,
     scarf_face_counts,
 )
+
+# The benchmark reads cli.parse_ideal and cli.random_ideal and, for its
+# negative control, replaces cli.build_taylor, so all three stay names here.
 from .monomials import (
-    MAX_EXPONENT,
     CapExceededError,
     IdealError,
+    IdealSpec,
     Monomial,
     MonomialIdeal,
-    VariableSet,
-    minimalize,
+    parse_ideal,
+    random_ideal,  # noqa: F401
 )
 from .taylor import (
     Face,
@@ -57,222 +64,6 @@ from .verify import (
 )
 
 JSON_SCHEMA_VERSION = 1
-
-
-class ParseError(IdealError):
-    """Ideal text that does not parse; carries the failing offset."""
-
-    def __init__(self, message: str, position: int) -> None:
-        super().__init__(f"syntax error at offset {position}: {message}")
-        self.position = position
-
-
-@dataclass
-class IdealSpec:
-    """Parsed ideal plus its source text and any normalization warnings."""
-
-    source: str
-    ideal: MonomialIdeal
-    warnings: list[str]
-
-
-def parse_ideal(text: str, strict: bool = False) -> IdealSpec:
-    """Parse comma-separated generators into a minimal monomial ideal.
-
-    A generator is a product of factors `var` or `var^int`, juxtaposed or
-    separated by `*`; a variable is a single letter optionally followed
-    by digits. Variable order is first appearance. Non-minimal input is
-    minimized with a warning, or rejected under strict.
-    """
-    raw_exponents, var_order = _scan(text)
-    vars = VariableSet(tuple(var_order))
-    raw_gens = [
-        Monomial(vars, tuple(exps.get(name, 0) for name in var_order))
-        for exps in raw_exponents
-    ]
-    ideal, removed = minimalize(vars, raw_gens)
-    warnings = []
-    if removed:
-        if strict:
-            raise IdealError("input generating set is not minimal")
-        warnings.append(
-            f"non-minimal input: reduced {len(raw_gens)} generators to {len(ideal)}"
-        )
-        ideal = _project_to_support(ideal)
-    return IdealSpec(text, ideal, warnings)
-
-
-def _scan(text: str) -> tuple[list[dict[str, int]], list[str]]:
-    generators: list[dict[str, int]] = []
-    var_order: list[str] = []
-    pos = 0
-    n = len(text)
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    while True:
-        skip_ws()
-        if pos >= n:
-            raise ParseError("expected a generator", pos)
-        current: dict[str, int] = {}
-        while True:
-            skip_ws()
-            if pos >= n or not text[pos].isalpha():
-                raise ParseError("expected a variable", pos)
-            start = pos
-            pos += 1
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            name = text[start:pos]
-            exponent = 1
-            if pos < n and text[pos] == "^":
-                pos += 1
-                if pos >= n or not text[pos].isdecimal():
-                    raise ParseError("expected digits after '^'", pos)
-                digits_start = pos
-                while pos < n and text[pos].isdecimal():
-                    pos += 1
-                exponent = _exponent(text[digits_start:pos], digits_start)
-            if name not in current and name not in var_order:
-                var_order.append(name)
-            current[name] = current.get(name, 0) + exponent
-            skip_ws()
-            if pos < n and text[pos] == "*":
-                pos += 1
-                continue
-            if pos < n and (text[pos].isalpha()):
-                continue
-            break
-        generators.append(current)
-        skip_ws()
-        if pos >= n:
-            break
-        if text[pos] != ",":
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        pos += 1
-    return generators, var_order
-
-
-def _exponent(digits: str, position: int) -> int:
-    """The value of a run of decimal digits, in any script.
-
-    A run with more significant digits than MAX_EXPONENT is over it and
-    is rejected before `int` sees it, since `int` refuses strings past
-    Python's int-string limit.
-    """
-    zeros = 0
-    while zeros < len(digits) and int(digits[zeros]) == 0:
-        zeros += 1
-    significant = digits[zeros:]
-    if len(significant) > len(str(MAX_EXPONENT)):
-        raise ParseError(f"exponent exceeds the cap of {MAX_EXPONENT}", position)
-    if not significant:
-        raise ParseError("exponent must be positive", position)
-    return int(significant)
-
-
-def _project_to_support(ideal: MonomialIdeal) -> MonomialIdeal:
-    """Keep the variables the surviving generators use, in the order they
-    first appear in the printed generators, so that printing and parsing
-    again gives the same ideal."""
-    used: list[int] = []
-    for g in ideal.generators:
-        used += [v for v, e in enumerate(g.exponents) if e and v not in used]
-    if used == list(range(len(ideal.vars))):
-        return ideal
-    vars = VariableSet(tuple(ideal.vars.names[v] for v in used))
-    gens = tuple(
-        Monomial(vars, tuple(g.exponents[v] for v in used)) for g in ideal.generators
-    )
-    return MonomialIdeal(vars, gens)
-
-
-# ---------------------------------------------------------------------------
-# Random ideal generation
-
-
-_DEFAULT_NAMES = ("x", "y", "z", "w", "v", "u", "t", "s")
-
-
-def variable_names(n_vars: int) -> tuple[str, ...]:
-    if n_vars <= len(_DEFAULT_NAMES):
-        return _DEFAULT_NAMES[:n_vars]
-    return tuple(f"x{i + 1}" for i in range(n_vars))
-
-
-def random_ideal(
-    rng: random.Random, n_vars: int, n_gens: int, max_exp: int
-) -> MonomialIdeal:
-    """A random minimal ideal: uniform exponents with rejection sampling.
-
-    Each monomial draws exponents uniformly from [0, max_exp]; the unit
-    monomial and any monomial comparable under divisibility with an
-    already-drawn one are rejected and redrawn.
-    """
-    if max_exp < 1:
-        raise IdealError("max exponent must be at least 1")
-    vars = VariableSet(variable_names(n_vars))
-    for _attempt in range(400):
-        gens: list[Monomial] = []
-        ok = True
-        for _slot in range(n_gens):
-            for _draw in range(300):
-                m = Monomial(
-                    vars, tuple(rng.randint(0, max_exp) for _ in range(n_vars))
-                )
-                if m.is_unit:
-                    continue
-                if any(m.divides(g) or g.divides(m) for g in gens):
-                    continue
-                gens.append(m)
-                break
-            else:
-                ok = False
-                break
-        if ok:
-            return MonomialIdeal(vars, tuple(gens))
-    raise IdealError(
-        f"could not sample a minimal ideal with {n_gens} generators over"
-        f" {n_vars} variables (max exponent {max_exp})"
-    )
-
-
-_CLASS_TO_P = {"dominant": 0, "semi1": 1, "semi2": 2}
-
-
-def random_ideal_of_class(
-    rng: random.Random,
-    n_vars: int,
-    n_gens: int,
-    max_exp: int,
-    cls: str = "any",
-    max_attempts: int = 5000,
-) -> MonomialIdeal:
-    """Resample random_ideal until the dominance class matches."""
-    if cls == "any":
-        return random_ideal(rng, n_vars, n_gens, max_exp)
-    if cls not in _CLASS_TO_P:
-        raise IdealError(f"unknown ideal class {cls!r}")
-    want_p = _CLASS_TO_P[cls]
-    # distinct generators cannot share a dominant variable, so an ideal with
-    # p nondominant generators has at most n_vars + p generators
-    if n_gens > n_vars + want_p:
-        raise IdealError(
-            f"impossible request: a {cls} ideal over {n_vars} variables has at"
-            f" most {n_vars + want_p} generators (each dominant generator needs"
-            " its own dominant variable)"
-        )
-    for _attempt in range(max_attempts):
-        ideal = random_ideal(rng, n_vars, n_gens, max_exp)
-        if classify(ideal).p == want_p:
-            return ideal
-    raise IdealError(
-        f"no {cls} ideal found in {max_attempts} attempts"
-        f" (vars={n_vars}, gens={n_gens}, max_exp={max_exp})"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +134,11 @@ def face_str(face: Face, ideal: MonomialIdeal) -> str:
 
 def _load_spec(args) -> IdealSpec:
     if getattr(args, "file", None):
-        with open(args.file, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(args.file, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise IdealError(f"{args.file} is not UTF-8 text: {exc}")
     else:
         text = args.ideal
         if text is None:
@@ -363,9 +157,7 @@ def _emit(args, payload: dict, lines: list[str], warnings: list[str]) -> None:
             print(line)
 
 
-def cmd_classify(args) -> int:
-    spec = _load_spec(args)
-    ideal = spec.ideal
+def cmd_classify(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
     report = classify(ideal)
     payload = {
         "command": "classify",
@@ -395,13 +187,11 @@ def cmd_classify(args) -> int:
         lines.append(f"  generator {i}: {ideal.generators[i]}  dominant: {names}")
     lines.append(f"generic: {is_generic(ideal)}")
     lines.append(f"complete intersection: {is_complete_intersection(ideal)}")
-    _emit(args, payload, lines, spec.warnings)
+    _emit(args, payload, lines, warnings)
     return 0
 
 
-def cmd_taylor(args) -> int:
-    spec = _load_spec(args)
-    ideal = spec.ideal
+def cmd_taylor(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
     res = build_taylor(ideal)
     classes = repeated_multidegree_classes(res)
     lattice = lcm_lattice(ideal)
@@ -439,7 +229,7 @@ def cmd_taylor(args) -> int:
                     f"  ({face_str(matrix.rows[ri], ideal)} <-"
                     f" {face_str(matrix.cols[ci], ideal)})"
                 )
-    _emit(args, payload, lines, spec.warnings)
+    _emit(args, payload, lines, warnings)
     return 0
 
 
@@ -467,18 +257,13 @@ def _parse_strategy(text: str):
     )
 
 
-def cmd_minimize(args) -> int:
-    spec = _load_spec(args)
-    ideal = spec.ideal
+def cmd_minimize(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
     strategy = _parse_strategy(args.strategy)
     outcome: EliminationOutcome = eliminate_face_facet_pairs(
         build_taylor(ideal), strategy
     )
     res = outcome.resolution
-    generic_payload = None
-    if args.generic:
-        rescued = minimize_generic(res)
-        generic_payload = resolution_json(rescued)
+    generic_payload = resolution_json(minimize_generic(res)) if args.generic else None
     payload = {
         "command": "minimize",
         "ideal": ideal_json(ideal),
@@ -508,15 +293,13 @@ def cmd_minimize(args) -> int:
     if outcome.stuck_witness is not None:
         shown = " ".join(face_str(f, ideal) for f in outcome.stuck_witness)
         lines.append(f"stuck witness: {shown}")
-    if args.generic and generic_payload is not None:
+    if generic_payload is not None:
         lines.append(f"generic fallback ranks: {generic_payload['ranks']}")
-    _emit(args, payload, lines, spec.warnings)
+    _emit(args, payload, lines, warnings)
     return 0
 
 
-def cmd_scarf(args) -> int:
-    spec = _load_spec(args)
-    ideal = spec.ideal
+def cmd_scarf(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
     faces = scarf_complex(ideal)
     counts = scarf_face_counts(ideal)
     scarf = is_scarf(ideal)
@@ -533,38 +316,11 @@ def cmd_scarf(args) -> int:
         "faces: " + " ".join(face_str(f, ideal) for f in faces),
         f"is_scarf: {scarf}",
     ]
-    _emit(args, payload, lines, spec.warnings)
+    _emit(args, payload, lines, warnings)
     return 0
 
 
-def _closed_form(ideal: MonomialIdeal) -> InvariantsReport | None:
-    p = classify(ideal).p
-    if p == 0:
-        return betti_dominant(ideal)
-    if p == 1:
-        return invariants_semidominant(ideal)
-    return None
-
-
-def invariants_with_cross_check(ideal: MonomialIdeal) -> dict:
-    """Closed-form and resolution-derived invariants; raises if they differ."""
-    derived = invariants_from_resolution(minimize_generic(build_taylor(ideal)))
-    closed = _closed_form(ideal)
-    if closed is not None and (
-        closed.betti != derived.betti
-        or closed.pd != derived.pd
-        or closed.reg != derived.reg
-    ):
-        raise OracleDisagreementError(
-            f"closed-form invariants {closed} disagree with resolution-derived"
-            f" {derived}"
-        )
-    return {"closed_form": closed, "derived": derived}
-
-
-def cmd_invariants(args) -> int:
-    spec = _load_spec(args)
-    ideal = spec.ideal
+def cmd_invariants(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
     both = invariants_with_cross_check(ideal)
     closed = both["closed_form"]
     derived = both["derived"]
@@ -600,13 +356,11 @@ def cmd_invariants(args) -> int:
     ]
     if closed is not None:
         lines.append("closed-form and resolution-derived values agree")
-    _emit(args, payload, lines, spec.warnings)
+    _emit(args, payload, lines, warnings)
     return 0
 
 
-def cmd_verify(args) -> int:
-    spec = _load_spec(args)
-    ideal = spec.ideal
+def cmd_verify(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
     taylor = build_taylor(ideal)
     minimal = minimize_generic(taylor)
 
@@ -644,7 +398,7 @@ def cmd_verify(args) -> int:
         f" strands={minimal_report['strands_exact']}"
         f" minimal={minimal_report['minimal']} ranks={minimal_report['ranks']}",
     ]
-    _emit(args, payload, lines, spec.warnings)
+    _emit(args, payload, lines, warnings)
     if not (
         taylor_report["compose"]
         and taylor_report["strands_exact"]
@@ -656,9 +410,7 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_t71_check(args) -> int:
-    spec = _load_spec(args)
-    ideal = spec.ideal
+def cmd_t71_check(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
     report = check_theorem71_hypothesis(ideal)
     payload = {
         "command": "t71-check",
@@ -680,7 +432,7 @@ def cmd_t71_check(args) -> int:
             f" {face_str(sigma, ideal)}; sibling facet {face_str(other, ideal)}"
             " shares the multidegree"
         )
-    _emit(args, payload, lines, spec.warnings)
+    _emit(args, payload, lines, warnings)
     return 0
 
 
@@ -768,7 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
+# Every command but random reads one ideal.
+_IDEAL_COMMANDS = {
     "classify": cmd_classify,
     "taylor": cmd_taylor,
     "minimize": cmd_minimize,
@@ -776,7 +529,6 @@ _COMMANDS = {
     "invariants": cmd_invariants,
     "verify": cmd_verify,
     "t71-check": cmd_t71_check,
-    "random": cmd_random,
 }
 
 
@@ -787,7 +539,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return _COMMANDS[args.command](args)
+        if args.command == "random":
+            return cmd_random(args)
+        spec = _load_spec(args)
+        return _IDEAL_COMMANDS[args.command](args, spec.ideal, spec.warnings)
     except CapExceededError as exc:
         return _fail(str(exc), 2)
     except OracleDisagreementError as exc:

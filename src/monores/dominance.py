@@ -11,15 +11,27 @@ Two consequences worth keeping in mind while reading the code: distinct
 generators can never share a dominant variable, so a dominant subset of
 an n-variable ring has at most n members; and any one- or two-element
 subset of a minimal generating set is automatically dominant.
+
+The closed forms, the pair set and the Scarf tests of a given class all
+start from one split of the generators into nondominant and dominant.
+Random ideals of a given class are drawn by resampling
+`monomials.random_ideal` until `classify` gives the wanted p.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .monomials import CapExceededError, IdealError, Monomial, MonomialIdeal
+from .monomials import (
+    CapExceededError,
+    IdealError,
+    Monomial,
+    MonomialIdeal,
+    random_ideal,
+)
 
 # Exhaustive subset enumeration is required (dominance of subsets is not
 # monotone in any way the search could exploit), so cap the generator count.
@@ -75,6 +87,17 @@ def classify(ideal: MonomialIdeal) -> DominanceReport:
     nondominant = tuple(i for i, dom in per_generator if not dom)
     p = len(nondominant)
     return DominanceReport(per_generator, nondominant, p, class_label_for(p))
+
+
+def _dominance_split(
+    ideal: MonomialIdeal, p: int, error: str
+) -> tuple[tuple[int, ...], list[int]]:
+    """The indices of the nondominant and of the dominant generators of an
+    ideal with p nondominant ones; raises IdealError(error) otherwise."""
+    nondominant = classify(ideal).nondominant_indices
+    if len(nondominant) != p:
+        raise IdealError(error)
+    return nondominant, [i for i in range(len(ideal)) if i not in nondominant]
 
 
 def is_dominant_subset(subset: Sequence[Monomial]) -> bool:
@@ -142,3 +165,38 @@ def is_complete_intersection(ideal: MonomialIdeal) -> bool:
         if users > 1:
             return False
     return True
+
+
+_CLASS_TO_P = {"dominant": 0, "semi1": 1, "semi2": 2}
+
+
+def random_ideal_of_class(
+    rng: random.Random,
+    n_vars: int,
+    n_gens: int,
+    max_exp: int,
+    cls: str = "any",
+    max_attempts: int = 5000,
+) -> MonomialIdeal:
+    """Resample random_ideal until the dominance class matches."""
+    if cls == "any":
+        return random_ideal(rng, n_vars, n_gens, max_exp)
+    if cls not in _CLASS_TO_P:
+        raise IdealError(f"unknown ideal class {cls!r}")
+    want_p = _CLASS_TO_P[cls]
+    # distinct generators cannot share a dominant variable, so an ideal with
+    # p nondominant generators has at most n_vars + p generators
+    if n_gens > n_vars + want_p:
+        raise IdealError(
+            f"impossible request: a {cls} ideal over {n_vars} variables has at"
+            f" most {n_vars + want_p} generators (each dominant generator needs"
+            " its own dominant variable)"
+        )
+    for _attempt in range(max_attempts):
+        ideal = random_ideal(rng, n_vars, n_gens, max_exp)
+        if classify(ideal).p == want_p:
+            return ideal
+    raise IdealError(
+        f"no {cls} ideal found in {max_attempts} attempts"
+        f" (vars={n_vars}, gens={n_gens}, max_exp={max_exp})"
+    )

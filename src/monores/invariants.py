@@ -4,7 +4,8 @@ Betti numbers, projective dimension, and regularity can be read off any
 minimal resolution; for dominant and semidominant ideals they also have
 closed forms in terms of the generators alone. Every closed form here is
 cross-checkable against the resolution-derived values, and the report
-records which route produced each number.
+records which route produced each number; `invariants_with_cross_check`
+computes both routes and raises if they differ.
 """
 
 from __future__ import annotations
@@ -14,18 +15,15 @@ from itertools import combinations
 from math import comb
 
 from .cancellation import minimize_generic
-from .dominance import (
-    classify,
-    is_dominant_subset,
-    largest_dominant_subset_with,
-)
+from .dominance import _dominance_split, classify, is_dominant_subset
 from .monomials import IdealError, MonomialIdeal, lcm
 from .taylor import (
     Face,
     Resolution,
-    _check_cap,
-    _mask_of,
+    _bits,
+    _face_from_mask,
     _mdeg_by_mask,
+    _subsets_by_lcm,
     build_taylor,
     strip_trailing_zeros,
 )
@@ -61,19 +59,8 @@ def scarf_complex(ideal: MonomialIdeal) -> list[Face]:
     This is the intersection of all minimal resolutions of the ideal; it
     supports a minimal resolution by itself exactly for Scarf ideals.
     """
-    _check_cap(ideal)
-    q = len(ideal)
-    mdegs = _mdeg_by_mask(ideal)
-    counts: dict[tuple[int, ...], int] = {}
-    for mask in range(1 << q):
-        key = mdegs[mask].exponents
-        counts[key] = counts.get(key, 0) + 1
-    faces = [
-        Face(members, mdegs[_mask_of(members)])
-        for degree in range(q + 1)
-        for members in combinations(range(q), degree)
-        if counts[mdegs[_mask_of(members)].exponents] == 1
-    ]
+    mdegs, classes = _subsets_by_lcm(ideal)
+    faces = [_face_from_mask(masks[0], mdegs) for masks in classes if len(masks) == 1]
     return sorted(faces, key=Face.sort_key)
 
 
@@ -118,104 +105,77 @@ def invariants_semidominant(ideal: MonomialIdeal) -> InvariantsReport:
     dominant generators whose lcm n does not divide:
     betti[i] = #B_i + #B_{i-1}; pd is the size of the largest dominant
     subset containing n; reg maximizes deg(mdeg) - size over dominant
-    subsets containing n. Subset lcms are read from one table of all 2^q,
-    so the Taylor cap applies.
+    subsets containing n. One pass over the subsets of the dominant
+    generators counts B and, adding n, finds pd and reg. Subset lcms are
+    read from one table of all 2^q, so the Taylor cap applies.
     """
-    report = classify(ideal)
-    if report.p != 1:
-        raise IdealError("closed form requires a semidominant ideal")
-    _check_cap(ideal)
-    (n_index,) = report.nondominant_indices
+    (n_index,), dominant_indices = _dominance_split(
+        ideal, 1, "closed form requires a semidominant ideal"
+    )
     gens = ideal.generators
     n = gens[n_index]
-    dominant_indices = [i for i in range(len(gens)) if i != n_index]
+    n_bit = 1 << n_index
     mdegs = _mdeg_by_mask(ideal)
 
+    # The empty subset comes first: n never divides 1, and {n} is dominant.
     b_counts = [0] * (len(dominant_indices) + 1)
-    b_counts[0] = 1  # the empty subset: n never divides 1
-    for size in range(1, len(dominant_indices) + 1):
-        for combo in combinations(dominant_indices, size):
-            if not n.divides(mdegs[_mask_of(combo)]):
-                b_counts[size] += 1
+    pd = reg = 0
+    for mask in range(1 << len(gens)):
+        if mask & n_bit:
+            continue
+        size = mask.bit_count()
+        if not n.divides(mdegs[mask]):
+            b_counts[size] += 1
+        with_n = mask | n_bit
+        if is_dominant_subset([gens[i] for i in _bits(with_n)]):
+            pd = max(pd, size + 1)
+            reg = max(reg, mdegs[with_n].total_degree() - size - 1)
 
-    def b_count(j: int) -> int:
-        return b_counts[j] if 0 <= j < len(b_counts) else 0
-
-    betti = list(
-        strip_trailing_zeros(
-            b_count(i) + b_count(i - 1) for i in range(len(b_counts) + 1)
-        )
-    )
-
-    pd, _witness = largest_dominant_subset_with(ideal, n_index)
+    betti = strip_trailing_zeros(a + b for a, b in zip(b_counts + [0], [0] + b_counts))
     if len(betti) - 1 != pd:
         raise OracleDisagreementError(
             "semidominant closed forms disagree on projective dimension"
         )
-
-    reg = None
-    for size in range(0, len(dominant_indices) + 1):
-        for combo in combinations(dominant_indices, size):
-            subset = sorted(combo + (n_index,))
-            if is_dominant_subset([gens[i] for i in subset]):
-                value = mdegs[_mask_of(subset)].total_degree() - len(subset)
-                reg = value if reg is None else max(reg, value)
-    assert reg is not None  # the singleton {n} is always dominant
-    return InvariantsReport(
-        tuple(betti), pd, reg, _sources("closed-form (semidominant)")
-    )
+    return InvariantsReport(betti, pd, reg, _sources("closed-form (semidominant)"))
 
 
 def pd_equals_two_test(ideal: MonomialIdeal) -> bool:
     """For semidominant ideals: pd = 2 iff n divides every pairwise lcm."""
-    report = classify(ideal)
-    if report.p != 1:
-        raise IdealError("pairwise divisibility test requires a semidominant ideal")
-    (n_index,) = report.nondominant_indices
+    (n_index,), dominant_indices = _dominance_split(
+        ideal, 1, "pairwise divisibility test requires a semidominant ideal"
+    )
     gens = ideal.generators
     n = gens[n_index]
-    dominant_indices = [i for i in range(len(gens)) if i != n_index]
     return all(
         n.divides(gens[i].lcm(gens[j]))
         for i, j in combinations(dominant_indices, 2)
     )
 
 
-def _require_2_semidominant(ideal: MonomialIdeal) -> tuple[int, int]:
-    report = classify(ideal)
-    if report.p != 2:
-        raise IdealError("test requires a 2-semidominant ideal")
-    n1, n2 = report.nondominant_indices
-    return n1, n2
+_NOT_2_SEMIDOMINANT = "test requires a 2-semidominant ideal"
 
 
 def scarf_parity_test_2semidominant(ideal: MonomialIdeal) -> bool:
     """A 2-semidominant ideal is Scarf iff every repeated multidegree class
     has even size (vacuously true with no repeats)."""
-    _require_2_semidominant(ideal)
-    _check_cap(ideal)
-    mdegs = _mdeg_by_mask(ideal)
-    counts: dict[tuple[int, ...], int] = {}
-    for mask in range(1 << len(ideal)):
-        key = mdegs[mask].exponents
-        counts[key] = counts.get(key, 0) + 1
-    return all(c % 2 == 0 for c in counts.values() if c >= 2)
+    _dominance_split(ideal, 2, _NOT_2_SEMIDOMINANT)
+    _, classes = _subsets_by_lcm(ideal)
+    return all(len(masks) % 2 == 0 for masks in classes if len(masks) >= 2)
 
 
 def scarf_necessary_divisibility(ideal: MonomialIdeal) -> bool:
     """Necessary for Scarf: both nondominant generators divide the lcm of
     the dominant ones (the lcm of no dominant generators is 1)."""
-    n1, n2 = _require_2_semidominant(ideal)
+    (n1, n2), dominant = _dominance_split(ideal, 2, _NOT_2_SEMIDOMINANT)
     gens = ideal.generators
-    dominant = [gens[i] for i in range(len(gens)) if i not in (n1, n2)]
-    dom_lcm = lcm(dominant, vars=ideal.vars)
+    dom_lcm = lcm((gens[i] for i in dominant), vars=ideal.vars)
     return gens[n1].divides(dom_lcm) and gens[n2].divides(dom_lcm)
 
 
 def scarf_sufficient_exponents(ideal: MonomialIdeal) -> bool:
     """Sufficient for Scarf: no variable has the same nonzero exponent in
     both nondominant generators."""
-    n1, n2 = _require_2_semidominant(ideal)
+    (n1, n2), _ = _dominance_split(ideal, 2, _NOT_2_SEMIDOMINANT)
     a = ideal.generators[n1].exponents
     b = ideal.generators[n2].exponents
     return all(ea != eb or ea == 0 for ea, eb in zip(a, b))
@@ -235,3 +195,28 @@ def invariants_from_resolution(res: Resolution) -> InvariantsReport:
         for face in module
     )
     return InvariantsReport(betti, pd, reg, _sources("minimal-resolution"))
+
+
+def _closed_form(ideal: MonomialIdeal) -> InvariantsReport | None:
+    p = classify(ideal).p
+    if p == 0:
+        return betti_dominant(ideal)
+    if p == 1:
+        return invariants_semidominant(ideal)
+    return None
+
+
+def invariants_with_cross_check(ideal: MonomialIdeal) -> dict:
+    """Closed-form and resolution-derived invariants; raises if they differ."""
+    derived = invariants_from_resolution(minimize_generic(build_taylor(ideal)))
+    closed = _closed_form(ideal)
+    if closed is not None and (
+        closed.betti != derived.betti
+        or closed.pd != derived.pd
+        or closed.reg != derived.reg
+    ):
+        raise OracleDisagreementError(
+            f"closed-form invariants {closed} disagree with resolution-derived"
+            f" {derived}"
+        )
+    return {"closed_form": closed, "derived": derived}

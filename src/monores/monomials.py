@@ -14,10 +14,14 @@ by the private `_monomial` without checking again: the componentwise
 max of in-range nonnegative ints, and their difference once it is
 checked to be nonnegative, stay in range. A product keeps only its
 check against MAX_EXPONENT, the one bound a sum can break.
+
+The ideal parser and the random ideal generator live here as well; both
+build their ideals through the checked constructors.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from operator import add, sub
 from typing import Iterable, Sequence
@@ -231,3 +235,187 @@ def minimalize(
         else:
             kept.append(g)
     return MonomialIdeal(vars, tuple(kept)), removed
+
+
+class ParseError(IdealError):
+    """Ideal text that does not parse; carries the failing offset."""
+
+    def __init__(self, message: str, position: int) -> None:
+        super().__init__(f"syntax error at offset {position}: {message}")
+        self.position = position
+
+
+@dataclass
+class IdealSpec:
+    """Parsed ideal plus its source text and any normalization warnings."""
+
+    source: str
+    ideal: MonomialIdeal
+    warnings: list[str]
+
+
+def parse_ideal(text: str, strict: bool = False) -> IdealSpec:
+    """Parse comma-separated generators into a minimal monomial ideal.
+
+    A generator is a product of factors `var` or `var^int`, juxtaposed or
+    separated by `*`; a variable is a single letter optionally followed
+    by decimal digits, of any script in names and exponents alike
+    (superscripts are not decimal). Variable order is first appearance.
+    Non-minimal input is minimized with a warning, or rejected under
+    strict.
+    """
+    raw_exponents, var_order = _scan(text)
+    vars = VariableSet(tuple(var_order))
+    raw_gens = [
+        Monomial(vars, tuple(exps.get(name, 0) for name in var_order))
+        for exps in raw_exponents
+    ]
+    ideal, removed = minimalize(vars, raw_gens)
+    warnings = []
+    if removed:
+        if strict:
+            raise IdealError("input generating set is not minimal")
+        warnings.append(
+            f"non-minimal input: reduced {len(raw_gens)} generators to {len(ideal)}"
+        )
+        ideal = _project_to_support(ideal)
+    return IdealSpec(text, ideal, warnings)
+
+
+def _scan(text: str) -> tuple[list[dict[str, int]], list[str]]:
+    generators: list[dict[str, int]] = []
+    var_order: list[str] = []
+    pos = 0
+    n = len(text)
+
+    def skip_ws() -> None:
+        nonlocal pos
+        while pos < n and text[pos].isspace():
+            pos += 1
+
+    while True:
+        skip_ws()
+        if pos >= n:
+            raise ParseError("expected a generator", pos)
+        current: dict[str, int] = {}
+        while True:
+            skip_ws()
+            if pos >= n or not text[pos].isalpha():
+                raise ParseError("expected a variable", pos)
+            start = pos
+            pos += 1
+            while pos < n and text[pos].isdecimal():
+                pos += 1
+            name = text[start:pos]
+            exponent = 1
+            if pos < n and text[pos] == "^":
+                pos += 1
+                if pos >= n or not text[pos].isdecimal():
+                    raise ParseError("expected digits after '^'", pos)
+                digits_start = pos
+                while pos < n and text[pos].isdecimal():
+                    pos += 1
+                exponent = _exponent(text[digits_start:pos], digits_start)
+            if name not in current and name not in var_order:
+                var_order.append(name)
+            current[name] = current.get(name, 0) + exponent
+            skip_ws()
+            if pos < n and text[pos] == "*":
+                pos += 1
+                continue
+            if pos < n and (text[pos].isalpha()):
+                continue
+            break
+        generators.append(current)
+        skip_ws()
+        if pos >= n:
+            break
+        if text[pos] != ",":
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        pos += 1
+    return generators, var_order
+
+
+def _exponent(digits: str, position: int) -> int:
+    """The value of a run of decimal digits, in any script.
+
+    A run with more significant digits than MAX_EXPONENT is over it and
+    is rejected before `int` sees it, since `int` refuses strings past
+    Python's int-string limit.
+    """
+    zeros = 0
+    while zeros < len(digits) and int(digits[zeros]) == 0:
+        zeros += 1
+    significant = digits[zeros:]
+    if len(significant) > len(str(MAX_EXPONENT)):
+        raise ParseError(f"exponent exceeds the cap of {MAX_EXPONENT}", position)
+    if not significant:
+        raise ParseError("exponent must be positive", position)
+    return int(significant)
+
+
+def _project_to_support(ideal: MonomialIdeal) -> MonomialIdeal:
+    """Keep the variables the surviving generators use, in the order they
+    first appear in the printed generators, so that printing and parsing
+    again gives the same ideal."""
+    used: list[int] = []
+    for g in ideal.generators:
+        used += [v for v, e in enumerate(g.exponents) if e and v not in used]
+    if used == list(range(len(ideal.vars))):
+        return ideal
+    vars = VariableSet(tuple(ideal.vars.names[v] for v in used))
+    gens = tuple(
+        Monomial(vars, tuple(g.exponents[v] for v in used)) for g in ideal.generators
+    )
+    return MonomialIdeal(vars, gens)
+
+
+_DEFAULT_NAMES = ("x", "y", "z", "w", "v", "u", "t", "s")
+
+
+def variable_names(n_vars: int) -> tuple[str, ...]:
+    if n_vars <= len(_DEFAULT_NAMES):
+        return _DEFAULT_NAMES[:n_vars]
+    return tuple(f"x{i + 1}" for i in range(n_vars))
+
+
+def random_ideal(
+    rng: random.Random, n_vars: int, n_gens: int, max_exp: int
+) -> MonomialIdeal:
+    """A random minimal ideal: uniform exponents with rejection sampling.
+
+    Each monomial draws exponents uniformly from [0, max_exp]; the unit
+    monomial and any monomial comparable under divisibility with an
+    already-drawn one are rejected and redrawn.
+    """
+    if n_vars < 1 or n_gens < 1:
+        raise IdealError(
+            "a random ideal needs at least one variable and one generator,"
+            f" got {n_vars} variables and {n_gens} generators"
+        )
+    if max_exp < 1:
+        raise IdealError("max exponent must be at least 1")
+    vars = VariableSet(variable_names(n_vars))
+    for _attempt in range(400):
+        gens: list[Monomial] = []
+        ok = True
+        for _slot in range(n_gens):
+            for _draw in range(300):
+                m = Monomial(
+                    vars, tuple(rng.randint(0, max_exp) for _ in range(n_vars))
+                )
+                if m.is_unit:
+                    continue
+                if any(m.divides(g) or g.divides(m) for g in gens):
+                    continue
+                gens.append(m)
+                break
+            else:
+                ok = False
+                break
+        if ok:
+            return MonomialIdeal(vars, tuple(gens))
+    raise IdealError(
+        f"could not sample a minimal ideal with {n_gens} generators over"
+        f" {n_vars} variables (max exponent {max_exp})"
+    )

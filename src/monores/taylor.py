@@ -18,6 +18,10 @@ entries are minimal.
 
 Within a homological degree faces are ordered lexicographically by their
 sorted member tuples, which fixes the matrix layout and all signs.
+
+A generator subset is also a bitmask, bit i for generator i.
+`_subsets_by_lcm` groups the 2^q masks by their lcm, the classes that
+the dominant, Scarf and arbitrary-order elimination results are about.
 """
 
 from __future__ import annotations
@@ -83,6 +87,26 @@ def _face(members: tuple[int, ...], mdeg: Monomial, mask: int) -> Face:
     object.__setattr__(face, "mdeg", mdeg)
     object.__setattr__(face, "mask", mask)
     return face
+
+
+def _face_from_mask(mask: int, mdegs: Sequence[Monomial]) -> Face:
+    """The face of the generator subset `mask`, its lcm read from mdegs."""
+    return _face(tuple(_bits(mask)), mdegs[mask], mask)
+
+
+def _mask_of(members: tuple[int, ...]) -> int:
+    mask = 0
+    for i in members:
+        mask |= 1 << i
+    return mask
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -186,16 +210,16 @@ def strip_trailing_zeros(values: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _check_cap(ideal: MonomialIdeal) -> None:
+def _mdeg_by_mask(ideal: MonomialIdeal) -> list[Monomial]:
+    """lcm of every subset of generators, indexed by bitmask.
+
+    The table has 2^q entries, so the Taylor cap applies to it.
+    """
     if len(ideal) > TAYLOR_MAX_GENERATORS:
         raise CapExceededError(
             f"full Taylor construction supports at most {TAYLOR_MAX_GENERATORS}"
             f" generators, got {len(ideal)}"
         )
-
-
-def _mdeg_by_mask(ideal: MonomialIdeal) -> list[Monomial]:
-    """lcm of every subset of generators, indexed by bitmask."""
     gens = ideal.generators
     out = [ideal.vars.unit()] * (1 << len(gens))
     for mask in range(1, 1 << len(gens)):
@@ -204,9 +228,18 @@ def _mdeg_by_mask(ideal: MonomialIdeal) -> list[Monomial]:
     return out
 
 
+def _subsets_by_lcm(ideal: MonomialIdeal) -> tuple[list[Monomial], list[list[int]]]:
+    """The lcm of every generator subset, indexed by bitmask, and the masks
+    grouped by that lcm: each class ascending, in order of smallest mask."""
+    mdegs = _mdeg_by_mask(ideal)
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for mask, mdeg in enumerate(mdegs):
+        classes.setdefault(mdeg.exponents, []).append(mask)
+    return mdegs, list(classes.values())
+
+
 def build_taylor(ideal: MonomialIdeal) -> Resolution:
     """The full Taylor complex: all 2^q faces and the signed differentials."""
-    _check_cap(ideal)
     q = len(ideal)
     mdegs = _mdeg_by_mask(ideal)
 
@@ -239,13 +272,6 @@ def build_taylor(ideal: MonomialIdeal) -> Resolution:
     return Resolution(modules, diffs, [])
 
 
-def _mask_of(members: tuple[int, ...]) -> int:
-    mask = 0
-    for i in members:
-        mask |= 1 << i
-    return mask
-
-
 def repeated_multidegree_classes(res: Resolution) -> dict[Monomial, list[Face]]:
     """Multidegrees carried by two or more current faces, with those faces.
 
@@ -271,7 +297,6 @@ class LcmLattice:
 
 
 def lcm_lattice(ideal: MonomialIdeal) -> LcmLattice:
-    _check_cap(ideal)
     mdegs = _mdeg_by_mask(ideal)
     distinct = sorted(set(mdegs), key=lambda m: m.exponents)
     return LcmLattice(tuple(distinct), len(distinct) == len(mdegs))

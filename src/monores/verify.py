@@ -70,9 +70,9 @@ from math import gcd, lcm
 from operator import or_
 from typing import Iterable, Sequence
 
-from .cancellation import _bits, minimize_generic
+from .cancellation import minimize_generic
 from .monomials import CapExceededError, Monomial, MonomialIdeal
-from .taylor import Resolution, build_taylor, lcm_lattice, strip_trailing_zeros
+from .taylor import Resolution, _bits, build_taylor, lcm_lattice, strip_trailing_zeros
 
 # Exhaustive strand mode enumerates every exponent vector below the top
 # lcm; refuse anything beyond toy size.

@@ -3,8 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from monores.cli import parse_ideal
-from monores.monomials import Monomial, VariableSet, minimalize
+from monores.monomials import Monomial, VariableSet, minimalize, parse_ideal
 
 
 def I(text):
@@ -32,7 +31,7 @@ def ideals(draw, min_vars=2, max_vars=4, min_gens=1, max_gens=5, max_exp=3):
 
 def random_minimal_ideal(rng: random.Random, n_vars, n_gens, max_exp):
     """rng-driven random minimal ideal for fixed-seed corpus tests."""
-    from monores.cli import random_ideal
+    from monores.monomials import random_ideal
 
     return random_ideal(rng, n_vars, n_gens, max_exp)
 

@@ -21,8 +21,7 @@ from monores.cancellation import (
     minimize_generic,
     standard_cancellation,
 )
-from monores.cli import parse_ideal, random_ideal, random_ideal_of_class
-from monores.dominance import classify
+from monores.dominance import classify, random_ideal_of_class
 from monores.invariants import (
     betti_dominant,
     invariants_from_resolution,
@@ -31,6 +30,7 @@ from monores.invariants import (
     scarf_complex,
     scarf_face_counts,
 )
+from monores.monomials import parse_ideal, random_ideal
 from monores.taylor import (
     DifferentialMatrix,
     Entry,

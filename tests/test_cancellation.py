@@ -20,7 +20,7 @@ from monores.cancellation import (
     standard_cancellation,
     standard_change_of_basis,
 )
-from monores.cli import random_ideal_of_class
+from monores.dominance import random_ideal_of_class
 from monores.monomials import IdealError, Monomial, VariableSet
 from monores.taylor import (
     DifferentialMatrix,

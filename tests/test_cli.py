@@ -2,17 +2,17 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from monores.cli import (
+from monores.cli import main
+from monores.dominance import classify, random_ideal_of_class
+from monores.monomials import (
+    MAX_EXPONENT,
+    IdealError,
     ParseError,
-    main,
     parse_ideal,
     random_ideal,
-    random_ideal_of_class,
 )
-from monores.dominance import classify
-from monores.monomials import MAX_EXPONENT, IdealError
 
 
 def run_json(capsys, argv):
@@ -182,6 +182,29 @@ def test_parse_hostile_text_returns_or_raises_ideal_error(text):
     assert parse_ideal(str(spec.ideal)).ideal == spec.ideal
 
 
+@settings(max_examples=300, deadline=None)
+@given(_HOSTILE)
+@example("x²")
+def test_parsed_variable_names_are_a_letter_and_decimal_digits(text):
+    try:
+        spec = parse_ideal(text)
+    except IdealError:
+        return
+    for name in spec.ideal.vars.names:
+        assert name[0].isalpha() and all(c.isdecimal() for c in name[1:])
+
+
+@pytest.mark.parametrize("text", ["x²", "x¹*y", "y, x²"])
+def test_parse_rejects_superscript_digits_in_names(text):
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse_ideal(text)
+
+
+def test_cli_rejects_superscript_digits_in_names_with_exit_1(capsys):
+    assert main(["classify", "x²"]) == 1
+    assert capsys.readouterr().err.startswith("error: syntax error")
+
+
 # --- random generation -----------------------------------------------------------
 
 
@@ -190,6 +213,18 @@ def test_random_ideal_is_minimal_and_reproducible():
     b = random_ideal(random.Random(5), 4, 6, 3)
     assert a == b
     assert len(a) == 6
+
+
+@pytest.mark.parametrize("n_vars, n_gens", [(-1, 2), (0, 2), (3, 0), (3, -2)])
+def test_random_ideal_rejects_counts_below_one(n_vars, n_gens):
+    with pytest.raises(IdealError, match="at least one variable and one generator"):
+        random_ideal(random.Random(0), n_vars, n_gens, 3)
+
+
+def test_random_command_rejects_negative_counts(capsys):
+    assert main(["random", "--vars", "-1", "--gens", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a random ideal needs at least one variable")
 
 
 @pytest.mark.parametrize("cls,p", [("dominant", 0), ("semi1", 1), ("semi2", 2)])
@@ -344,6 +379,52 @@ def test_ideal_from_file(capsys, tmp_path):
     path.write_text("x^2, x*y, y^3")
     payload = run_json(capsys, ["classify", "--file", str(path)])
     assert payload["p"] == 1
+
+
+def test_non_utf8_file_is_a_user_error(capsys, tmp_path):
+    path = tmp_path / "ideal.txt"
+    path.write_bytes(b"x\xff, y")
+    assert main(["classify", "--file", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not UTF-8" in err
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=12,
+)
+_MEMBERS = st.lists(st.integers(-1, 3), max_size=4)
+_FILE_BYTES = st.one_of(
+    st.binary(max_size=64),
+    _HOSTILE.map(str.encode),
+    _JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+    st.lists(st.tuples(_MEMBERS, _MEMBERS), max_size=4).map(
+        lambda pairs: json.dumps(pairs).encode()
+    ),
+    st.integers(1, 5000).map(lambda depth: b"[" * depth),
+)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=_FILE_BYTES)
+@example(data=b"x\xff, y")
+@example(data=b"[[[0, 1, 2], [0, 2]], [[1], []]]")
+def test_any_file_bytes_end_in_exit_0_1_or_2(capsys, tmp_path, data):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    # x^2, x*y, y^2 has cancellable face/facet pairs, so some scripts run.
+    for argv in (
+        ["classify", "--file", str(path)],
+        ["minimize", "x^2, x*y, y^2", "--strategy", f"script:{path}"],
+    ):
+        assert main(argv) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 # --- exit codes -----------------------------------------------------------------------

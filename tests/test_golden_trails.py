@@ -24,7 +24,8 @@ from monores.cancellation import (
     eliminate_face_facet_pairs,
     minimize_generic,
 )
-from monores.cli import parse_ideal, random_ideal, random_ideal_of_class
+from monores.dominance import random_ideal_of_class
+from monores.monomials import parse_ideal, random_ideal
 from monores.taylor import build_taylor
 
 GOLDEN = Path(__file__).with_name("golden_trails.json")

@@ -1,11 +1,12 @@
+import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings, strategies as st
 
 from conftest import I, ideals
-from monores.cancellation import minimize_generic
-from monores.dominance import classify
+from monores.cancellation import check_theorem71_hypothesis, minimize_generic
+from monores.dominance import classify, random_ideal_of_class
 from monores.invariants import (
     betti_dominant,
     invariants_from_resolution,
@@ -19,7 +20,7 @@ from monores.invariants import (
     scarf_sufficient_exponents,
 )
 from monores.monomials import IdealError
-from monores.taylor import build_taylor, lcm_lattice
+from monores.taylor import Face, build_taylor, lcm_lattice, strip_trailing_zeros
 from monores.verify import betti_oracle
 
 
@@ -272,3 +273,74 @@ def test_2semidominant_parity_matches_operational(ideal):
         assert is_scarf(ideal)
     if is_scarf(ideal):
         assert scarf_necessary_divisibility(ideal)
+
+
+# --- subsets grouped by lcm, against the Taylor faces ------------------------------
+
+
+@st.composite
+def sampled_ideals(draw, cls="any"):
+    """Ideals of exactly the drawn size. Few variables and small exponents
+    crowd the lcms, so classes of faces sharing one are large; at least 3
+    variables and exponent 2 keep every drawn size quick to sample."""
+    n_vars = draw(st.integers(3, 4))
+    n_gens = draw(st.integers(1, 6) if cls == "any" else st.integers(3, n_vars + 2))
+    max_exp = draw(st.integers(2, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    try:
+        return random_ideal_of_class(rng, n_vars, n_gens, max_exp, cls, 50)
+    except IdealError:
+        reject()
+
+
+def taylor_classes(ideal):
+    """Taylor faces grouped by multidegree, faces in (degree, members) order."""
+    classes = {}
+    for face in build_taylor(ideal).iter_faces():
+        classes.setdefault(face.mdeg, []).append(face)
+    return classes
+
+
+def reference_t71_violations(classes):
+    """Theorem71Report's definition: a facet tau of two faces of tau's own
+    multidegree m, and a sibling facet of either face that also carries m."""
+    out = set()
+    for faces in classes.values():
+        for tau in faces:
+            sigmas = [f for f in faces if tau.is_facet_of(f)]
+            if len(sigmas) < 2:
+                continue
+            for sigma in sigmas:
+                for other in faces:
+                    if other != tau and other.is_facet_of(sigma):
+                        out.add((tau, sigma, other))
+    return tuple(sorted(out, key=lambda t: tuple(f.sort_key() for f in t)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(sampled_ideals())
+def test_subset_grouping_matches_taylor_faces(ideal):
+    classes = taylor_classes(ideal)
+    unique = [faces[0] for faces in classes.values() if len(faces) == 1]
+    assert scarf_complex(ideal) == sorted(unique, key=Face.sort_key)
+    counts = [0] * (len(ideal) + 1)
+    for face in unique:
+        counts[face.hdeg] += 1
+    assert scarf_face_counts(ideal) == strip_trailing_zeros(counts)
+
+    lattice = lcm_lattice(ideal)
+    assert list(lattice.monomials) == sorted(classes, key=lambda m: m.exponents)
+    assert lattice.is_boolean == (len(classes) == 2 ** len(ideal))
+
+    violations = reference_t71_violations(classes)
+    report = check_theorem71_hypothesis(ideal)
+    assert report.violations == violations
+    assert report.holds == (not violations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampled_ideals(cls="semi2"))
+def test_parity_test_reads_the_class_sizes(ideal):
+    sizes = [len(faces) for faces in taylor_classes(ideal).values()]
+    expected = all(size % 2 == 0 for size in sizes if size >= 2)
+    assert scarf_parity_test_2semidominant(ideal) == expected

@@ -397,7 +397,7 @@ def test_strand_exactness_on_minimized_corpus(rng):
 
 
 def random_minimal(rng):
-    from monores.cli import random_ideal
+    from monores.monomials import random_ideal
 
     return random_ideal(rng, rng.randint(2, 4), rng.randint(1, 5), 3)
 
@@ -424,7 +424,7 @@ def test_exhaustive_strand_mode_agrees_on_tiny_ideals(rng):
 
 
 def random_minimal_tiny(rng):
-    from monores.cli import random_ideal
+    from monores.monomials import random_ideal
 
     return random_ideal(rng, rng.randint(2, 3), rng.randint(1, 4), 3)
 
