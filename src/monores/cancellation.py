@@ -168,10 +168,11 @@ class _Work:
         for degree in range(1, res.top + 1):
             matrix = res.diffs[degree]
             assert matrix is not None
+            rows, cols = res.modules[degree - 1], res.modules[degree]
             by_col: dict[Face, dict[Face, Entry]] = {}
             by_row: dict[Face, dict[Face, Entry]] = {}
             for (ri, ci), entry in matrix.entries.items():
-                row, col = matrix.rows[ri], matrix.cols[ci]
+                row, col = rows[ri], cols[ci]
                 by_col.setdefault(col, {})[row] = entry
                 by_row.setdefault(row, {})[col] = entry
                 if entry.is_invertible:
@@ -185,18 +186,16 @@ class _Work:
         return len(self.modules) - 1
 
     def freeze(self) -> Resolution:
+        positions = [{f: i for i, f in enumerate(m)} for m in self.modules]
         diffs: list[DifferentialMatrix | None] = [None]
         for degree in range(1, self.top + 1):
-            rows = list(self.modules[degree - 1])
-            cols = list(self.modules[degree])
-            row_pos = {f: i for i, f in enumerate(rows)}
-            col_pos = {f: i for i, f in enumerate(cols)}
+            row_pos, col_pos = positions[degree - 1], positions[degree]
             entries = {
                 (row_pos[row], col_pos[col]): entry
                 for col, col_entries in self.by_col[degree].items()
                 for row, entry in col_entries.items()
             }
-            diffs.append(DifferentialMatrix(rows, cols, entries))
+            diffs.append(DifferentialMatrix(entries))
         return Resolution([list(m) for m in self.modules], diffs, list(self.trail))
 
     def get(self, degree: int, row: Face, col: Face) -> Entry | None:

@@ -65,6 +65,10 @@ from .verify import (
 
 JSON_SCHEMA_VERSION = 1
 
+# Sampling compares each drawn monomial with every generator kept so far,
+# so the random command compares about count * vars * gens^2 exponents.
+RANDOM_WORK_CAP = 10**6
+
 
 # ---------------------------------------------------------------------------
 # JSON encoding
@@ -86,15 +90,15 @@ def face_json(face: Face) -> list[int]:
     return list(face.members)
 
 
-def matrix_json(matrix) -> dict:
+def matrix_json(res: Resolution, degree: int) -> dict:
     triplets = [
         [ri, ci, entry.scalar.numerator, entry.scalar.denominator]
         + [list(entry.monomial.exponents)]
-        for (ri, ci), entry in sorted(matrix.entries.items())
+        for (ri, ci), entry in sorted(res.diffs[degree].entries.items())
     ]
     return {
-        "rows": [face_json(f) for f in matrix.rows],
-        "cols": [face_json(f) for f in matrix.cols],
+        "rows": [face_json(f) for f in res.modules[degree - 1]],
+        "cols": [face_json(f) for f in res.modules[degree]],
         "entries": triplets,
     }
 
@@ -118,7 +122,9 @@ def resolution_json(res: Resolution, full: bool = False) -> dict:
         "trail": trail_json(res),
     }
     if full:
-        out["differentials"] = [None] + [matrix_json(m) for m in res.diffs[1:]]
+        out["differentials"] = [None] + [
+            matrix_json(res, degree) for degree in range(1, res.top + 1)
+        ]
     return out
 
 
@@ -222,12 +228,12 @@ def cmd_taylor(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
     if args.full:
         for degree in range(1, res.top + 1):
             matrix = res.diffs[degree]
+            rows, cols = res.modules[degree - 1], res.modules[degree]
             lines.append(f"differential {degree}: {matrix.nnz()} entries")
             for (ri, ci), entry in sorted(matrix.entries.items()):
                 lines.append(
                     f"  [{ri},{ci}] = {entry.scalar} * {entry.monomial}"
-                    f"  ({face_str(matrix.rows[ri], ideal)} <-"
-                    f" {face_str(matrix.cols[ci], ideal)})"
+                    f"  ({face_str(rows[ri], ideal)} <- {face_str(cols[ci], ideal)})"
                 )
     _emit(args, payload, lines, warnings)
     return 0
@@ -437,6 +443,13 @@ def cmd_t71_check(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
 
 
 def cmd_random(args) -> int:
+    if args.count < 1:
+        raise IdealError(f"count must be at least 1, got {args.count}")
+    work = args.count * args.vars * args.gens**2
+    if args.vars > 0 and args.gens > 0 and work > RANDOM_WORK_CAP:
+        raise CapExceededError(
+            f"random supports count * vars * gens^2 of at most {RANDOM_WORK_CAP}"
+        )
     rng = random.Random(args.seed)
     ideals = [
         random_ideal_of_class(rng, args.vars, args.gens, args.max_exp, args.cls)
@@ -480,20 +493,25 @@ def _add_ideal_arguments(sub) -> None:
     sub.add_argument("--json", action="store_true", help="emit JSON")
 
 
+# Every command but random reads one ideal: name -> (command, help), in
+# help order.
+_IDEAL_COMMANDS = {
+    "classify": (cmd_classify, "dominance classification"),
+    "taylor": (cmd_taylor, "build the Taylor resolution"),
+    "minimize": (cmd_minimize, "eliminate face/facet pairs of equal multidegree"),
+    "scarf": (cmd_scarf, "Scarf complex and Scarf test"),
+    "invariants": (cmd_invariants, "Betti numbers, projective dimension, regularity"),
+    "verify": (cmd_verify, "exactness and minimality oracles"),
+    "t71-check": (cmd_t71_check, "arbitrary-order elimination hypothesis check"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="monores",
                      description="Taylor resolutions of monomial ideals")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in [
-        ("classify", "dominance classification"),
-        ("taylor", "build the Taylor resolution"),
-        ("minimize", "eliminate face/facet pairs of equal multidegree"),
-        ("scarf", "Scarf complex and Scarf test"),
-        ("invariants", "Betti numbers, projective dimension, regularity"),
-        ("verify", "exactness and minimality oracles"),
-        ("t71-check", "arbitrary-order elimination hypothesis check"),
-    ]:
+    for name, (_, help_text) in _IDEAL_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         _add_ideal_arguments(p)
     sub.choices["taylor"].add_argument(
@@ -520,18 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Every command but random reads one ideal.
-_IDEAL_COMMANDS = {
-    "classify": cmd_classify,
-    "taylor": cmd_taylor,
-    "minimize": cmd_minimize,
-    "scarf": cmd_scarf,
-    "invariants": cmd_invariants,
-    "verify": cmd_verify,
-    "t71-check": cmd_t71_check,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -541,13 +547,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "random":
             return cmd_random(args)
+        command, _ = _IDEAL_COMMANDS[args.command]
         spec = _load_spec(args)
-        return _IDEAL_COMMANDS[args.command](args, spec.ideal, spec.warnings)
+        return command(args, spec.ideal, spec.warnings)
     except CapExceededError as exc:
         return _fail(str(exc), 2)
     except OracleDisagreementError as exc:
         return _fail(f"internal oracle disagreement: {exc}", 3)
-    except (IdealError, OSError, json.JSONDecodeError) as exc:
+    except (IdealError, OSError) as exc:
         return _fail(str(exc), 1)
 
 

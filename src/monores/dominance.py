@@ -185,12 +185,13 @@ def random_ideal_of_class(
         raise IdealError(f"unknown ideal class {cls!r}")
     want_p = _CLASS_TO_P[cls]
     # distinct generators cannot share a dominant variable, so an ideal with
-    # p nondominant generators has at most n_vars + p generators
-    if n_gens > n_vars + want_p:
+    # p nondominant generators has at most n_vars + p generators; any two
+    # minimal generators are dominant, so p > 0 needs at least three
+    least = 3 if want_p else 1
+    if not least <= n_gens <= n_vars + want_p:
         raise IdealError(
-            f"impossible request: a {cls} ideal over {n_vars} variables has at"
-            f" most {n_vars + want_p} generators (each dominant generator needs"
-            " its own dominant variable)"
+            f"impossible request: a {cls} ideal over {n_vars} variables has"
+            f" {least} to {n_vars + want_p} generators"
         )
     for _attempt in range(max_attempts):
         ideal = random_ideal(rng, n_vars, n_gens, max_exp)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import comb
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -393,8 +394,14 @@ def random_ideal(
             "a random ideal needs at least one variable and one generator,"
             f" got {n_vars} variables and {n_gens} generators"
         )
-    if max_exp < 1:
-        raise IdealError("max exponent must be at least 1")
+    if not 1 <= max_exp <= MAX_EXPONENT:
+        raise IdealError(f"max exponent must be between 1 and {MAX_EXPONENT}")
+    # The variables are an antichain, so only the rarer case is counted.
+    if n_gens > n_vars and n_gens > _largest_antichain(n_vars, max_exp):
+        raise IdealError(
+            f"impossible request: no {n_gens} monomials over {n_vars} variables"
+            f" with exponents at most {max_exp} are pairwise incomparable"
+        )
     vars = VariableSet(variable_names(n_vars))
     for _attempt in range(400):
         gens: list[Monomial] = []
@@ -418,4 +425,17 @@ def random_ideal(
     raise IdealError(
         f"could not sample a minimal ideal with {n_gens} generators over"
         f" {n_vars} variables (max exponent {max_exp})"
+    )
+
+
+def _largest_antichain(n_vars: int, max_exp: int) -> int:
+    """The most pairwise incomparable exponent vectors in [0, max_exp]^n_vars:
+    the middle layer by exponent sum (de Bruijn, Tengbergen, Kruyswijk),
+    counted by inclusion-exclusion over the exponents above max_exp."""
+    total = n_vars * max_exp // 2
+    return sum(
+        (-1) ** k
+        * comb(n_vars, k)
+        * comb(total - k * (max_exp + 1) + n_vars - 1, n_vars - 1)
+        for k in range(total // (max_exp + 1) + 1)
     )

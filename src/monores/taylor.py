@@ -17,7 +17,9 @@ monomial part is 1 is called invertible; resolutions with no invertible
 entries are minimal.
 
 Within a homological degree faces are ordered lexicographically by their
-sorted member tuples, which fixes the matrix layout and all signs.
+sorted member tuples, which fixes the matrix layout and all signs. A
+resolution stores each degree's faces once, in `modules`; a matrix
+position (row, column) of diffs[j] indexes modules[j-1] and modules[j].
 
 A generator subset is also a bitmask, bit i for generator i.
 `_subsets_by_lcm` groups the 2^q masks by their lcm, the classes that
@@ -36,6 +38,7 @@ from .monomials import (
     IdealError,
     Monomial,
     MonomialIdeal,
+    _monomial,
 )
 
 # Hard cap for full Taylor construction: 2^q faces with sparse matrices.
@@ -130,22 +133,14 @@ class Entry:
 
 @dataclass(eq=False)
 class DifferentialMatrix:
-    """Sparse differential from the column faces down to the row faces.
+    """Sparse differential from one degree's faces down to the previous one's.
 
-    Entries are keyed by (row index, column index) into the two face
-    lists; an absent key means zero.
+    The matrix holds no faces. Entries of diffs[j] are keyed by (row
+    index, column index): positions in the resolution's modules[j-1] and
+    modules[j]. An absent key means zero.
     """
 
-    rows: list[Face]
-    cols: list[Face]
     entries: dict[tuple[int, int], Entry]
-
-    def entry(self, row_face: Face, col_face: Face) -> Entry | None:
-        try:
-            key = (self.rows.index(row_face), self.cols.index(col_face))
-        except ValueError:
-            return None
-        return self.entries.get(key)
 
     def nnz(self) -> int:
         return len(self.entries)
@@ -181,11 +176,7 @@ class Resolution:
         diffs: list[DifferentialMatrix | None] = [None]
         for matrix in self.diffs[1:]:
             assert matrix is not None
-            diffs.append(
-                DifferentialMatrix(
-                    list(matrix.rows), list(matrix.cols), dict(matrix.entries)
-                )
-            )
+            diffs.append(DifferentialMatrix(dict(matrix.entries)))
         return Resolution([list(m) for m in self.modules], diffs, list(self.trail))
 
 
@@ -266,9 +257,7 @@ def build_taylor(ideal: MonomialIdeal) -> Resolution:
                 entries[(facet_index[facet_mask], ci)] = Entry(
                     minus if pos % 2 else plus, mdeg.exact_div(mdegs[facet_mask])
                 )
-        diffs.append(
-            DifferentialMatrix(list(modules[degree - 1]), list(modules[degree]), entries)
-        )
+        diffs.append(DifferentialMatrix(entries))
     return Resolution(modules, diffs, [])
 
 
@@ -297,6 +286,20 @@ class LcmLattice:
 
 
 def lcm_lattice(ideal: MonomialIdeal) -> LcmLattice:
-    mdegs = _mdeg_by_mask(ideal)
-    distinct = sorted(set(mdegs), key=lambda m: m.exponents)
-    return LcmLattice(tuple(distinct), len(distinct) == len(mdegs))
+    """The subset lcms, ascending, by join-closure from the unit: lcm(p, g)
+    for every point p and generator g until nothing new appears, so
+    |lattice| * q lcms rather than 2^q. Its size has the Taylor face cap."""
+    gens = [g.exponents for g in ideal.generators]
+    points = {(0,) * len(ideal.vars)}
+    todo = list(points)
+    while todo:
+        p = todo.pop()
+        fresh = {tuple(map(max, p, g)) for g in gens} - points
+        points |= fresh
+        todo += fresh
+        if len(points) > 1 << TAYLOR_MAX_GENERATORS:
+            raise CapExceededError(
+                f"the lcm lattice has over 2^{TAYLOR_MAX_GENERATORS} points"
+            )
+    monomials = tuple(_monomial(ideal.vars, e) for e in sorted(points))
+    return LcmLattice(monomials, len(monomials) == 1 << len(ideal))

@@ -275,19 +275,38 @@ class _StrandIndex:
             self.columns.append(
                 _integer_columns({k: e.scalar for k, e in matrix.entries.items()})
             )
-        # Per differential and column index: the rows of the odd entries.
+        self.certifiable = self._rows_divide_columns(res) and _composes_to_zero(
+            self.columns
+        )
+        # Per differential and column index: the rows of the odd entries,
+        # read only by the certificate.
         self.odd = [[0] * size for size in self.sizes]
-        for odd, columns in zip(self.odd, self.columns):
-            for ci, column in columns.items():
-                odd[ci] = sum(1 << r for r, x in column.items() if x & 1)
-        self.certifiable = _entries_divide(
-            res, len(ideal.vars)
-        ) and _composes_to_zero(self.columns)
+        if self.certifiable:
+            for odd, columns in zip(self.odd, self.columns):
+                for ci, column in columns.items():
+                    odd[ci] = sum(1 << r for r, x in column.items() if x & 1)
 
-    def report(self, b: Monomial) -> StrandReport:
+    def _divisors(self, b: Monomial) -> int:
+        """The numbered faces and generators whose multidegree divides b."""
         divisors = -1
         for values, below, e in zip(self.values, self.below, b.exponents):
             divisors &= below[bisect_right(values, e)]
+        return divisors
+
+    def _rows_divide_columns(self, res: Resolution) -> bool:
+        """Whether every entry's row is a face of the degree below whose
+        multidegree divides its column face's."""
+        for degree in range(1, len(self.sizes)):
+            offset, size = self.offsets[degree - 1], self.sizes[degree - 1]
+            faces = res.modules[degree]
+            for ci, column in self.columns[degree].items():
+                rows = self._divisors(faces[ci].mdeg) >> offset
+                if not all(0 <= ri < size and rows >> ri & 1 for ri in column):
+                    return False
+        return True
+
+    def report(self, b: Monomial) -> StrandReport:
+        divisors = self._divisors(b)
         present = [
             divisors >> offset & ((1 << size) - 1)
             for offset, size in zip(self.offsets, self.sizes)
@@ -337,31 +356,6 @@ class _StrandIndex:
             for ci in _bits(present[degree])
             if ci in columns
         )
-
-
-def _entries_divide(res: Resolution, n_vars: int) -> bool:
-    """Whether every entry's row face divides its column face.
-
-    Multidegrees are packed into one int each: exponent i occupies a
-    field of `width` bits whose top bit is a guard, so with G the mask
-    of all guard bits, e divides b exactly when ((b | G) - e) & G == G (a
-    field borrows from its guard bit precisely when e_i > b_i, and never
-    from the next field).
-    """
-    largest = max(
-        (e for face in res.iter_faces() for e in face.mdeg.exponents), default=0
-    )
-    width = largest.bit_length() + 1
-    guard = sum(1 << (width * (i + 1) - 1) for i in range(n_vars))
-    packed = [
-        [_pack(face.mdeg.exponents, width) for face in module]
-        for module in res.modules
-    ]
-    return all(
-        ((packed[degree][ci] | guard) - packed[degree - 1][ri]) & guard == guard
-        for degree, matrix in enumerate(res.diffs[1:], 1)
-        for ri, ci in matrix.entries
-    )
 
 
 def _composes_to_zero(columns: Sequence[dict[int, dict[int, int]]]) -> bool:

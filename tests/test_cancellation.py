@@ -38,11 +38,17 @@ def members(faces):
     return sorted(f.members for f in faces)
 
 
+def entry_at(res, degree, row, col):
+    """The entry of diffs[degree] at the given row and column faces, or None."""
+    key = (res.modules[degree - 1].index(row), res.modules[degree].index(col))
+    return res.diffs[degree].entries.get(key)
+
+
 def entry_invariants_hold(res):
     for degree in range(1, res.top + 1):
-        matrix = res.diffs[degree]
-        for (ri, ci), entry in matrix.entries.items():
-            expected = matrix.cols[ci].mdeg.exact_div(matrix.rows[ri].mdeg)
+        rows, cols = res.modules[degree - 1], res.modules[degree]
+        for (ri, ci), entry in res.diffs[degree].entries.items():
+            expected = cols[ci].mdeg.exact_div(rows[ri].mdeg)
             if entry.monomial != expected or entry.scalar == 0:
                 return False
     return True
@@ -55,7 +61,7 @@ def test_find_invertible_unique_entry():
     res = build_taylor(I("x^2, x*y, y^3"))
     found = find_invertible_entries(res)
     assert [(j, r.members, c.members) for j, r, c in found] == [(3, (0, 2), (0, 1, 2))]
-    entry = res.diffs[3].entry(found[0][1], found[0][2])
+    entry = entry_at(res, 3, found[0][1], found[0][2])
     assert entry.scalar == Fraction(-1)
 
 
@@ -270,18 +276,15 @@ def fill_in_checked_against_reference():
 
 
 def with_distinct_equal_faces(res):
-    """The same complex with each module and each matrix's rows and columns
-    holding their own copies of the faces, over a copy of the variable set:
-    equal, equal-hashing, but never the same objects."""
+    """The same complex with each module holding its own copies of the
+    faces, over a copy of the variable set: equal, equal-hashing, but
+    never the same objects as the faces of res."""
     vars = VariableSet(tuple(res.modules[0][0].mdeg.vars.names))
 
     def fresh(faces):
         return [Face(f.members, Monomial(vars, f.mdeg.exponents)) for f in faces]
 
-    diffs = [None] + [
-        DifferentialMatrix(fresh(d.rows), fresh(d.cols), dict(d.entries))
-        for d in res.diffs[1:]
-    ]
+    diffs = [None] + [DifferentialMatrix(dict(d.entries)) for d in res.diffs[1:]]
     return Resolution([fresh(m) for m in res.modules], diffs, list(res.trail))
 
 
@@ -318,13 +321,12 @@ def shear_basis(res, rng, count=4):
             f, g = g, f
         lam = Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 2, 5)))
         down = out.diffs[degree]
-        fi, gi = down.cols.index(f), down.cols.index(g)
+        fi, gi = out.modules[degree].index(f), out.modules[degree].index(g)
         for (ri, ci), e in list(down.entries.items()):
             if ci == fi:
                 _add_to_entry(down.entries, (ri, gi), lam * e.scalar, e.monomial)
         if degree + 1 <= out.top:
             up = out.diffs[degree + 1]
-            fi, gi = up.rows.index(f), up.rows.index(g)
             for (ri, ci), e in list(up.entries.items()):
                 if ri == gi:
                     _add_to_entry(up.entries, (fi, ci), -lam * e.scalar, e.monomial)
@@ -366,17 +368,16 @@ def test_fill_in_compares_faces_by_value_not_identity(ideal, seed):
     distinct = with_distinct_equal_faces(taylor)
     with fill_in_checked_against_reference() as steps:
         shuffled = eliminate_face_facet_pairs(taylor, SeededRandom(seed))
-        # Scripted faces come from the modules, pivots from the matrices.
         script = [(e.sigma.members, e.tau.members) for e in shuffled.resolution.trail]
         replay = eliminate_face_facet_pairs(distinct, Scripted(script))
         generic = minimize_generic(distinct)
-        pivots = find_invertible_entries(distinct)
+        # A pivot named by the faces of taylor, applied to the copy.
+        pivots = find_invertible_entries(taylor)
         if pivots:
             degree, row, col = pivots[0]
-            rows = distinct.find_face(row.members)
-            cols = distinct.find_face(col.members)
-            assert rows is not row and cols is not col
-            standard_cancellation(distinct, degree, rows, cols)
+            assert distinct.find_face(row.members) is not row
+            assert distinct.find_face(col.members) is not col
+            standard_cancellation(distinct, degree, row, col)
     assert trail_members(replay.resolution) == trail_members(shuffled.resolution)
     assert trail_members(generic) == trail_members(minimize_generic(taylor))
     assert steps.count("cancel") >= len(script) + len(generic.trail)
@@ -404,26 +405,26 @@ def test_change_of_basis_zeroes_adjacent_column():
 
     # degree-2 matrix: column of the pivot row face becomes zero
     two = rewritten.diffs[2]
-    col_idx = two.cols.index(row)
+    col_idx = rewritten.modules[2].index(row)
     assert not any(ci == col_idx for (_ri, ci) in two.entries)
     # the other degree-2 columns are untouched
     for face_members in [(0, 1), (1, 2)]:
         face = rewritten.find_face(face_members)
         old = {
             k: v for k, v in res.diffs[2].entries.items()
-            if res.diffs[2].cols[k[1]].members == face_members
+            if res.modules[2][k[1]].members == face_members
         }
         new = {
             k: v for k, v in two.entries.items()
-            if two.cols[k[1]].members == face_members
+            if rewritten.modules[2][k[1]].members == face_members
         }
         assert len(old) == len(new) == 2
     # the pivot matrix has the unit row and column through the pivot
     three = rewritten.diffs[3]
-    assert three.entry(row, col).scalar == 1
-    assert three.entry(row, col).monomial.is_unit
-    pivot_ri = three.rows.index(row)
-    pivot_ci = three.cols.index(col)
+    assert entry_at(rewritten, 3, row, col).scalar == 1
+    assert entry_at(rewritten, 3, row, col).monomial.is_unit
+    pivot_ri = rewritten.modules[2].index(row)
+    pivot_ci = rewritten.modules[3].index(col)
     for (ri, ci), entry in three.entries.items():
         if ri == pivot_ri or ci == pivot_ci:
             assert (ri, ci) == (pivot_ri, pivot_ci)
@@ -447,8 +448,8 @@ def _synthetic_resolution(diff2_entries, faces2):
         [[empty], one_faces, two_faces],
         [
             None,
-            DifferentialMatrix([empty], list(one_faces), {}),
-            DifferentialMatrix(list(one_faces), list(two_faces), entries),
+            DifferentialMatrix({}),
+            DifferentialMatrix(entries),
         ],
         [],
     )
@@ -473,7 +474,7 @@ def test_fill_in_signs_from_unit_entries():
     pivot_row = res.modules[1][0]
     pivot_col = res.modules[2][0]
     rewritten = standard_change_of_basis(res, 2, pivot_row, pivot_col)
-    fill = rewritten.diffs[2].entry(res.modules[1][1], res.modules[2][1])
+    fill = entry_at(rewritten, 2, res.modules[1][1], res.modules[2][1])
     assert fill.scalar == Fraction(-2)
 
     cancels = _synthetic_resolution(
@@ -482,7 +483,7 @@ def test_fill_in_signs_from_unit_entries():
     rewritten = standard_change_of_basis(
         cancels, 2, cancels.modules[1][0], cancels.modules[2][0]
     )
-    assert rewritten.diffs[2].entry(cancels.modules[1][1], cancels.modules[2][1]) is None
+    assert entry_at(rewritten, 2, cancels.modules[1][1], cancels.modules[2][1]) is None
 
 
 def test_change_of_basis_requires_invertible_pivot():

@@ -1,5 +1,7 @@
 import json
 import random
+from itertools import combinations, product
+from operator import le
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -10,6 +12,7 @@ from monores.monomials import (
     MAX_EXPONENT,
     IdealError,
     ParseError,
+    _largest_antichain,
     parse_ideal,
     random_ideal,
 )
@@ -225,6 +228,102 @@ def test_random_command_rejects_negative_counts(capsys):
     assert main(["random", "--vars", "-1", "--gens", "2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: a random ideal needs at least one variable")
+
+
+def largest_antichain_reference(n_vars, max_exp):
+    """Dilworth: the largest antichain among the non-unit monomials is
+    their number minus a maximum matching of the strict divisibility
+    order (a minimum chain cover), found by augmenting paths."""
+    points = [m for m in product(range(max_exp + 1), repeat=n_vars) if any(m)]
+    above = [
+        [j for j, b in enumerate(points) if a != b and all(map(le, a, b))]
+        for a in points
+    ]
+    match: dict[int, int] = {}
+
+    def augment(i, seen):
+        for j in above[i]:
+            if j not in seen:
+                seen.add(j)
+                if j not in match or augment(match[j], seen):
+                    match[j] = i
+                    return True
+        return False
+
+    return len(points) - sum(augment(i, set()) for i in range(len(points)))
+
+
+@pytest.mark.parametrize(
+    "n_vars, max_exp", [(n, m) for n in range(1, 5) for m in range(1, 4)]
+)
+def test_largest_antichain_matches_dilworth(n_vars, max_exp):
+    assert _largest_antichain(n_vars, max_exp) == largest_antichain_reference(
+        n_vars, max_exp
+    )
+
+
+@pytest.mark.parametrize(
+    "n_vars, n_gens, max_exp",
+    [(1, 2, 3), (2, 3, 1), (3, 4, 1), (1, 2, MAX_EXPONENT + 1), (2, 1, 10**9)],
+)
+def test_random_ideal_rejects_impossible_requests_before_drawing(
+    n_vars, n_gens, max_exp
+):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(IdealError, match="impossible request|between 1 and"):
+        random_ideal(rng, n_vars, n_gens, max_exp)
+    assert rng.getstate() == state
+
+
+def test_random_ideal_reaches_the_largest_antichain():
+    ideal = random_ideal(random.Random(0), 3, 3, 1)
+    assert sorted(g.exponents for g in ideal.generators) == [
+        (0, 0, 1), (0, 1, 0), (1, 0, 0)
+    ]
+
+
+@pytest.mark.parametrize("cls", ["semi1", "semi2"])
+@pytest.mark.parametrize("n_gens", [1, 2])
+def test_random_class_rejects_two_generators_before_drawing(cls, n_gens):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(IdealError, match="has 3 to"):
+        random_ideal_of_class(rng, 6, n_gens, 3, cls)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("count", ["-3", "0"])
+def test_random_command_rejects_counts_below_one(capsys, count):
+    assert main(["random", "--vars", "2", "--gens", "2", "--count", count]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: count must be at least 1")
+
+
+def test_random_command_cap_exits_2(capsys):
+    assert main(["random", "--vars", "1", "--gens", "1", "--count", str(10**9)]) == 2
+    assert "at most" in capsys.readouterr().err
+
+
+_SIZES = st.integers(-2, 5) | st.sampled_from([MAX_EXPONENT + 1, 10**9, 10**40])
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(n_vars=_SIZES, n_gens=_SIZES, max_exp=_SIZES, count=_SIZES)
+def test_random_sizes_end_in_exit_0_1_or_2(capsys, n_vars, n_gens, max_exp, count):
+    argv = ["random", "--vars", str(n_vars), "--gens", str(n_gens),
+            "--max-exp", str(max_exp), "--count", str(count), "--json"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in captured.err
+    if code == 0:
+        assert len(json.loads(captured.out)["ideals"]) == count
 
 
 @pytest.mark.parametrize("cls,p", [("dominant", 0), ("semi1", 1), ("semi2", 2)])

@@ -1,0 +1,31 @@
+"""The README's library quick tour runs, and prints what its comments say."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def quick_tour() -> str:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library quick tour", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_quick_tour_prints_its_comments():
+    code = quick_tour()
+    expected = [
+        line.split("#", 1)[1].strip()
+        for line in code.splitlines()
+        if line.startswith("print(") and "#" in line
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    printed = out.getvalue().splitlines()
+    assert len(printed) == len(expected) == 4
+    for got, comment in zip(printed, expected):
+        # A comment may go on after the value, as in "(1, 4, 3), self-checked".
+        assert comment == got or comment.startswith(got + ","), (got, comment)

@@ -19,13 +19,13 @@ from monores.taylor import (
 
 def matrix_as_face_dict(res, degree):
     """(row members, col members) -> (scalar, monomial exponents)."""
-    matrix = res.diffs[degree]
+    rows, cols = res.modules[degree - 1], res.modules[degree]
     return {
-        (matrix.rows[ri].members, matrix.cols[ci].members): (
+        (rows[ri].members, cols[ci].members): (
             entry.scalar,
             entry.monomial.exponents,
         )
-        for (ri, ci), entry in matrix.entries.items()
+        for (ri, ci), entry in res.diffs[degree].entries.items()
     }
 
 
@@ -176,6 +176,31 @@ def test_lcm_lattice_single_generator():
     assert lattice.is_boolean
 
 
+@settings(max_examples=40)
+@given(ideals())
+def test_lcm_lattice_is_the_set_of_taylor_multidegrees(ideal):
+    mdegs = {face.mdeg.exponents for face in build_taylor(ideal).iter_faces()}
+    lattice = lcm_lattice(ideal)
+    assert [m.exponents for m in lattice.monomials] == sorted(mdegs)
+    assert lattice.is_boolean == (len(mdegs) == 2 ** len(ideal))
+
+
+def test_lcm_lattice_past_the_taylor_cap():
+    # Generators x^i y^(q-i), i < q: the lcm of a subset with smallest
+    # index b and largest a is x^a y^(q-b), one point per b <= a.
+    q = TAYLOR_MAX_GENERATORS + 10
+    vars = VariableSet(("x", "y"))
+    ideal = MonomialIdeal(
+        vars, tuple(Monomial(vars, (i, q - i)) for i in range(q))
+    )
+    lattice = lcm_lattice(ideal)
+    expected = [(0, 0)] + sorted(
+        (a, q - b) for a in range(q) for b in range(a + 1)
+    )
+    assert [m.exponents for m in lattice.monomials] == expected
+    assert not lattice.is_boolean
+
+
 # --- structural properties ------------------------------------------------------
 
 
@@ -184,9 +209,9 @@ def test_lcm_lattice_single_generator():
 def test_facet_multidegrees_divide(ideal):
     res = build_taylor(ideal)
     for degree in range(1, res.top + 1):
-        matrix = res.diffs[degree]
-        for (ri, ci), entry in matrix.entries.items():
-            row, col = matrix.rows[ri], matrix.cols[ci]
+        rows, cols = res.modules[degree - 1], res.modules[degree]
+        for (ri, ci), entry in res.diffs[degree].entries.items():
+            row, col = rows[ri], cols[ci]
             assert row.mdeg.divides(col.mdeg)
             assert entry.monomial == col.mdeg.exact_div(row.mdeg)
             assert entry.scalar in (Fraction(1), Fraction(-1))

@@ -27,6 +27,7 @@ from monores.taylor import (
 )
 from monores.verify import (
     StrandReport,
+    _StrandIndex,
     betti_oracle,
     compose_check,
     matrix_rank_exact,
@@ -170,7 +171,7 @@ def delete_top_face(res):
     mutant = res.copy()
     top = mutant.top
     mutant.modules[top] = []
-    mutant.diffs[top] = DifferentialMatrix(list(mutant.modules[top - 1]), [], {})
+    mutant.diffs[top] = DifferentialMatrix({})
     return mutant
 
 
@@ -324,14 +325,10 @@ def two_step_complex(vars, d1_entries, d2_entries):
     mids = [Face((0,), unit), Face((1,), unit)]
     top = [Face((0, 1), unit)]
     d1 = DifferentialMatrix(
-        rows,
-        mids,
-        {(0, i): Entry(x, vars.monomial(e)) for i, (x, e) in enumerate(d1_entries)},
+        {(0, i): Entry(x, vars.monomial(e)) for i, (x, e) in enumerate(d1_entries)}
     )
     d2 = DifferentialMatrix(
-        mids,
-        top,
-        {(i, 0): Entry(x, vars.monomial(e)) for i, (x, e) in enumerate(d2_entries)},
+        {(i, 0): Entry(x, vars.monomial(e)) for i, (x, e) in enumerate(d2_entries)}
     )
     return Resolution([rows, mids, top], [None, d1, d2], [])
 
@@ -461,7 +458,7 @@ def test_strand_packing_covers_targets_above_every_face():
     y = M.generators[1]
     unit_face = Face((), M.vars.unit())
     y_face = Face((1,), y)
-    d1 = DifferentialMatrix([unit_face], [y_face], {(0, 0): Entry(1, y)})
+    d1 = DifferentialMatrix({(0, 0): Entry(1, y)})
     res = Resolution([[unit_face], [y_face]], [None, d1], [])
     assert_strands_match_reference(res, M)
     at_x4 = next(r for r in strand_exactness(res, M) if str(r.multidegree) == "x^4")
@@ -572,6 +569,37 @@ def test_strands_after_a_sign_flip_match_reference(text):
     assert_strands_match_reference(mutant, M)
 
 
+def swap_degree_one_faces(res):
+    """Faces 0 and 2 of degree 1 trade places, the matrices left as they
+    are: the scalars still compose to zero, but some entries now sit at a
+    row face that does not divide their column face."""
+    mutant = res.copy()
+    faces = mutant.modules[1]
+    faces[0], faces[2] = faces[2], faces[0]
+    return mutant
+
+
+def add_rows_outside_the_degree(res):
+    """Two more top-differential entries, at row indices before and past
+    the faces of the degree below; nothing composes with them."""
+    mutant = res.copy()
+    top = mutant.top
+    for row in (-1, len(mutant.modules[top - 1])):
+        mutant.diffs[top].entries[(row, 0)] = Entry(1, mutant.modules[0][0].mdeg)
+    return mutant
+
+
+@pytest.mark.parametrize("mutate", [swap_degree_one_faces, add_rows_outside_the_degree])
+@pytest.mark.parametrize("text", ["x^2, x*y, y^3", "x^3y, y^2z, xz^2, xyz"])
+def test_entries_off_the_divisibility_order_are_not_certified(mutate, text):
+    M = I(text)
+    mutant = mutate(build_taylor(M))
+    assert compose_check(mutant)
+    assert _StrandIndex(build_taylor(M), M).certifiable
+    assert not _StrandIndex(mutant, M).certifiable
+    assert_strands_match_reference(mutant, M)
+
+
 def test_strands_when_d_squared_vanishes_only_outside_the_strand():
     # Faces (mdeg): e (1); a (x), z (y); c (x), w (y); t (x), by degree.
     # At b = x the strand is e <- a <- c <- t with scalars 1, 2, 1: GF(2)
@@ -587,10 +615,8 @@ def test_strands_when_d_squared_vanishes_only_outside_the_strand():
     mid = [Face((0,), x), Face((1,), y)]
     upper = [Face((0, 1), x), Face((0, 2), y)]
     top = [Face((0, 1, 2), x)]
-    d1 = DifferentialMatrix(e, mid, {(0, 0): Entry(1, x), (0, 1): Entry(1, y)})
+    d1 = DifferentialMatrix({(0, 0): Entry(1, x), (0, 1): Entry(1, y)})
     d2 = DifferentialMatrix(
-        mid,
-        upper,
         {
             (0, 0): Entry(2, unit),
             (1, 0): Entry(-2, unit),
@@ -598,9 +624,7 @@ def test_strands_when_d_squared_vanishes_only_outside_the_strand():
             (1, 1): Entry(-1, unit),
         },
     )
-    d3 = DifferentialMatrix(
-        upper, top, {(0, 0): Entry(1, unit), (1, 0): Entry(-2, unit)}
-    )
+    d3 = DifferentialMatrix({(0, 0): Entry(1, unit), (1, 0): Entry(-2, unit)})
     res = Resolution([e, mid, upper, top], [None, d1, d2, d3], [])
     scalars = [
         {k: v.scalar for k, v in d.entries.items()} for d in res.diffs[1:]
