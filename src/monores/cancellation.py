@@ -36,8 +36,11 @@ invertible exactly when its two faces have equal multidegree, for as
 long as it holds an entry. Every strategy loop reads the same index, in
 the same (degree, column, row) order, so that order fixes its trail.
 
-All public functions leave their input resolution untouched and return a
-fresh one; the loop drivers mutate a private working copy internally.
+All public functions take and return faces, leave their input resolution
+untouched and return a fresh one; the loop drivers mutate a private
+working copy internally. That copy keys every face by its generator
+bitmask, which is unique within a degree, so two equal faces that are
+distinct objects are one key, and no face is hashed.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ from .taylor import (
     _mask_of,
     _mdeg_by_mask,
     _subsets_by_lcm,
-    face_with_members,
     repeated_multidegree_classes,
 )
 
@@ -144,39 +146,47 @@ def _script_members(face) -> tuple[int, ...]:
 Strategy = Deterministic | SeededRandom | Scripted
 
 
-_Pivot = tuple[int, tuple[int, ...], tuple[int, ...], Face, Face]
+_Pivot = tuple[int, tuple[int, ...], tuple[int, ...], int, int]
 
 
 class _Work:
-    """Mutable face-keyed view of a resolution, for efficient cancellation.
+    """Mutable mask-keyed view of a resolution, for efficient cancellation.
 
-    modules holds each degree's faces as an insertion-ordered dict, so a
-    cancelled face is deleted in O(1) and the rest keep their order.
+    Every face is keyed by its generator-subset bitmask. modules holds
+    each degree's faces as an insertion-ordered mask -> Face dict, so a
+    cancelled face is deleted in O(1) and the rest keep their order;
+    by_col and by_row hold each differential's entries keyed by column
+    mask then row mask, and by row mask then column mask. Faces are read
+    from modules only for what masks do not carry: multidegrees for
+    fill-in monomials, and members for pivot keys and trail events.
     pivots holds every invertible position as (degree, column members,
-    row members, row, column), sorted. Positions are unique, so tuple
-    comparison never reaches the faces.
+    row members, row mask, column mask), sorted.
     """
 
     __slots__ = ("modules", "by_col", "by_row", "trail", "pivots")
 
     def __init__(self, res: Resolution) -> None:
-        self.modules: list[dict[Face, None]] = [dict.fromkeys(m) for m in res.modules]
-        self.by_col: list[dict[Face, dict[Face, Entry]]] = [{}]
-        self.by_row: list[dict[Face, dict[Face, Entry]]] = [{}]
+        self.modules: list[dict[int, Face]] = [
+            {f.mask: f for f in m} for m in res.modules
+        ]
+        self.by_col: list[dict[int, dict[int, Entry]]] = [{}]
+        self.by_row: list[dict[int, dict[int, Entry]]] = [{}]
         self.trail: list[CancellationEvent] = list(res.trail)
         self.pivots: list[_Pivot] = []
         for degree in range(1, res.top + 1):
             matrix = res.diffs[degree]
             assert matrix is not None
             rows, cols = res.modules[degree - 1], res.modules[degree]
-            by_col: dict[Face, dict[Face, Entry]] = {}
-            by_row: dict[Face, dict[Face, Entry]] = {}
+            by_col: dict[int, dict[int, Entry]] = {}
+            by_row: dict[int, dict[int, Entry]] = {}
             for (ri, ci), entry in matrix.entries.items():
                 row, col = rows[ri], cols[ci]
-                by_col.setdefault(col, {})[row] = entry
-                by_row.setdefault(row, {})[col] = entry
+                by_col.setdefault(col.mask, {})[row.mask] = entry
+                by_row.setdefault(row.mask, {})[col.mask] = entry
                 if entry.is_invertible:
-                    self.pivots.append((degree, col.members, row.members, row, col))
+                    self.pivots.append(
+                        (degree, col.members, row.members, row.mask, col.mask)
+                    )
             self.by_col.append(by_col)
             self.by_row.append(by_row)
         self.pivots.sort()
@@ -186,7 +196,7 @@ class _Work:
         return len(self.modules) - 1
 
     def freeze(self) -> Resolution:
-        positions = [{f: i for i, f in enumerate(m)} for m in self.modules]
+        positions = [{mask: i for i, mask in enumerate(m)} for m in self.modules]
         diffs: list[DifferentialMatrix | None] = [None]
         for degree in range(1, self.top + 1):
             row_pos, col_pos = positions[degree - 1], positions[degree]
@@ -196,23 +206,28 @@ class _Work:
                 for row, entry in col_entries.items()
             }
             diffs.append(DifferentialMatrix(entries))
-        return Resolution([list(m) for m in self.modules], diffs, list(self.trail))
+        modules = [list(m.values()) for m in self.modules]
+        return Resolution(modules, diffs, list(self.trail))
 
-    def get(self, degree: int, row: Face, col: Face) -> Entry | None:
+    def _pivot_key(self, degree: int, row: int, col: int) -> _Pivot:
+        row_members = self.modules[degree - 1][row].members
+        return (degree, self.modules[degree][col].members, row_members, row, col)
+
+    def get(self, degree: int, row: int, col: int) -> Entry | None:
         return self.by_col[degree].get(col, {}).get(row)
 
-    def set(self, degree: int, row: Face, col: Face, entry: Entry) -> None:
+    def set(self, degree: int, row: int, col: int, entry: Entry) -> None:
         col_entries = self.by_col[degree].setdefault(col, {})
         if row not in col_entries and entry.is_invertible:
-            insort(self.pivots, (degree, col.members, row.members, row, col))
+            insort(self.pivots, self._pivot_key(degree, row, col))
         col_entries[row] = entry
         self.by_row[degree].setdefault(row, {})[col] = entry
 
-    def delete(self, degree: int, row: Face, col: Face) -> None:
+    def delete(self, degree: int, row: int, col: int) -> None:
         col_entries = self.by_col[degree].get(col)
         if col_entries and row in col_entries:
             if col_entries.pop(row).is_invertible:
-                key = (degree, col.members, row.members, row, col)
+                key = self._pivot_key(degree, row, col)
                 del self.pivots[bisect_left(self.pivots, key)]
             if not col_entries:
                 del self.by_col[degree][col]
@@ -221,108 +236,103 @@ class _Work:
             if not row_entries:
                 del self.by_row[degree][row]
 
-    def delete_face(self, degree: int, face: Face) -> None:
-        del self.modules[degree][face]
+    def delete_face(self, degree: int, face: int) -> None:
+        # Entries first: deleting a pivot reads the members of both faces.
         if degree >= 1:
             for row in list(self.by_col[degree].get(face, {})):
                 self.delete(degree, row, face)
         if degree + 1 <= self.top:
             for col in list(self.by_row[degree + 1].get(face, {})):
                 self.delete(degree + 1, face, col)
+        del self.modules[degree][face]
 
-    def change_of_basis(self, degree: int, row_face: Face, col_face: Face) -> None:
-        pivot = self.get(degree, row_face, col_face)
+    def change_of_basis(self, degree: int, row: int, col: int) -> None:
+        pivot = self.get(degree, row, col)
         if pivot is None:
             raise IdealError(
-                f"no entry at row {row_face.members}, column {col_face.members}"
+                f"no entry at row {tuple(_bits(row))}, column {tuple(_bits(col))}"
                 f" of the degree-{degree} differential"
             )
         if not pivot.is_invertible:
             raise IdealError(
-                f"pivot at row {row_face.members}, column {col_face.members}"
+                f"pivot at row {tuple(_bits(row))}, column {tuple(_bits(col))}"
                 " is not invertible"
             )
         by_col = self.by_col[degree]
-        old_row = dict(self.by_row[degree].get(row_face, {}))
-        old_col = dict(by_col.get(col_face, {}))
-        # Within one degree equal masks mean equal faces; a caller's
-        # resolution may hold equal faces that are distinct objects.
-        row_mask = row_face.mask
-        col_mask = col_face.mask
+        old_row = dict(self.by_row[degree].get(row, {}))
+        old_col = dict(by_col.get(col, {}))
+        rows, cols = self.modules[degree - 1], self.modules[degree]
 
         # Fill-in over the outer product of the pivot row and pivot column:
         # b_cd = a_cd - a_rd * (a_cs / a_rs), the factor taken once per c.
         pivot_scalar = pivot.scalar
         factors = [
-            (c_face, a_cs.scalar / pivot_scalar)
-            for c_face, a_cs in old_col.items()
-            if c_face.mask != row_mask
+            (c, a_cs.scalar / pivot_scalar) for c, a_cs in old_col.items() if c != row
         ]
-        for d_face, a_rd in old_row.items():
-            if d_face.mask == col_mask:
+        for d, a_rd in old_row.items():
+            if d == col:
                 continue
             # The pivot row's entry keeps this column dict nonempty (and so
             # in place) until the clean-up below.
-            d_entries = by_col[d_face]
+            d_entries = by_col[d]
             a = a_rd.scalar
-            for c_face, factor in factors:
-                current = d_entries.get(c_face)
+            for c, factor in factors:
+                current = d_entries.get(c)
                 if current is None:
                     # Every entry at (c, d) carries mdeg(d) / mdeg(c).
-                    monomial = d_face.mdeg.exact_div(c_face.mdeg)
-                    self.set(degree, c_face, d_face, Entry(-(a * factor), monomial))
+                    monomial = cols[d].mdeg.exact_div(rows[c].mdeg)
+                    self.set(degree, c, d, Entry(-(a * factor), monomial))
                     continue
                 scalar = current.scalar - a * factor
                 if scalar:
-                    self.set(degree, c_face, d_face, Entry(scalar, current.monomial))
+                    self.set(degree, c, d, Entry(scalar, current.monomial))
                 else:
-                    self.delete(degree, c_face, d_face)
+                    self.delete(degree, c, d)
 
         # Pivot row and column become unit vectors meeting at the pivot.
-        for d_face in old_row:
-            if d_face.mask != col_mask:
-                self.delete(degree, row_face, d_face)
-        for c_face in old_col:
-            if c_face.mask != row_mask:
-                self.delete(degree, c_face, col_face)
-        unit = row_face.mdeg.vars.unit()
-        self.set(degree, row_face, col_face, Entry(Fraction(1), unit))
+        for d in old_row:
+            if d != col:
+                self.delete(degree, row, d)
+        for c in old_col:
+            if c != row:
+                self.delete(degree, c, col)
+        self.set(degree, row, col, Entry(Fraction(1), pivot.monomial))
 
         # The adjacent differentials lose the pair's row and column.
         if degree + 1 <= self.top:
-            for col in list(self.by_row[degree + 1].get(col_face, {})):
-                self.delete(degree + 1, col_face, col)
+            for up in list(self.by_row[degree + 1].get(col, {})):
+                self.delete(degree + 1, col, up)
         if degree - 1 >= 1:
-            for row in list(self.by_col[degree - 1].get(row_face, {})):
-                self.delete(degree - 1, row, row_face)
+            for down in list(self.by_col[degree - 1].get(row, {})):
+                self.delete(degree - 1, down, row)
 
-    def cancel(
-        self, degree: int, row_face: Face, col_face: Face, strategy_tag: str
-    ) -> None:
-        pivot = self.get(degree, row_face, col_face)
+    def cancel(self, degree: int, row: int, col: int, strategy_tag: str) -> None:
+        pivot = self.get(degree, row, col)
         if pivot is None or not pivot.is_invertible:
             raise IdealError(
-                f"cannot cancel row {row_face.members}, column {col_face.members}:"
+                f"cannot cancel row {tuple(_bits(row))}, column {tuple(_bits(col))}:"
                 " no invertible entry there"
             )
-        pivot_scalar = pivot.scalar
-        self.change_of_basis(degree, row_face, col_face)
-        self.delete_face(degree, col_face)
-        self.delete_face(degree - 1, row_face)
-        self.trail.append(
-            CancellationEvent(col_face, row_face, pivot_scalar, strategy_tag)
-        )
+        sigma, tau = self.modules[degree][col], self.modules[degree - 1][row]
+        self.change_of_basis(degree, row, col)
+        self.delete_face(degree, col)
+        self.delete_face(degree - 1, row)
+        self.trail.append(CancellationEvent(sigma, tau, pivot.scalar, strategy_tag))
 
-    def facet_pivots(self) -> Iterator[tuple[int, Face, Face]]:
+    def facet_pivots(self) -> Iterator[tuple[int, int, int]]:
         """Invertible face/facet positions, in (degree, column, row) order."""
         for degree, _, _, row, col in self.pivots:
-            if row.is_facet_of(col):
+            if row & col == row and (col ^ row).bit_count() == 1:
                 yield degree, row, col
 
 
 def find_invertible_entries(res: Resolution) -> list[tuple[int, Face, Face]]:
     """All invertible positions, ordered by (degree, column, row)."""
-    return [(degree, row, col) for degree, _, _, row, col in _Work(res).pivots]
+    work = _Work(res)
+    return [
+        (degree, work.modules[degree - 1][row], work.modules[degree][col])
+        for degree, _, _, row, col in work.pivots
+    ]
 
 
 def standard_change_of_basis(
@@ -330,20 +340,16 @@ def standard_change_of_basis(
 ) -> Resolution:
     """Apply the pivot change of basis and return the rewritten resolution."""
     work = _Work(res)
-    work.change_of_basis(degree, row_face, col_face)
+    work.change_of_basis(degree, row_face.mask, col_face.mask)
     return work.freeze()
 
 
 def standard_cancellation(
-    res: Resolution,
-    degree: int,
-    row_face: Face,
-    col_face: Face,
-    strategy_tag: str = "manual",
+    res: Resolution, degree: int, row_face: Face, col_face: Face
 ) -> Resolution:
     """Change basis around the pivot, then delete the face/row pair."""
     work = _Work(res)
-    work.cancel(degree, row_face, col_face, strategy_tag)
+    work.cancel(degree, row_face.mask, col_face.mask, "manual")
     return work.freeze()
 
 
@@ -355,15 +361,17 @@ def eliminate_face_facet_pairs(
     if isinstance(strategy, Scripted):
         for sigma_members, tau_members in strategy.pairs:
             degree = len(sigma_members)
-            sigma = face_with_members(work.modules, sigma_members)
-            tau = face_with_members(work.modules, tau_members)
+            sigma, tau = (
+                work.modules[len(m)].get(_mask_of(m)) if len(m) <= work.top else None
+                for m in (sigma_members, tau_members)
+            )
             problem = None
             if sigma is None or tau is None:
                 problem = "face not present"
             elif not tau.is_facet_of(sigma):
                 problem = "not face and facet"
             else:
-                entry = work.get(degree, tau, sigma)
+                entry = work.get(degree, tau.mask, sigma.mask)
                 if entry is None or not entry.is_invertible:
                     problem = "no invertible entry there"
             if problem is not None:
@@ -371,7 +379,7 @@ def eliminate_face_facet_pairs(
                     f"scripted pair ({list(sigma_members)}, {list(tau_members)})"
                     f" is not cancellable: {problem}"
                 )
-            work.cancel(degree, tau, sigma, "scripted")
+            work.cancel(degree, tau.mask, sigma.mask, "scripted")
     elif isinstance(strategy, SeededRandom):
         rng = random.Random(strategy.seed)
         tag = f"random:{strategy.seed}"

@@ -33,8 +33,8 @@ from .monomials import (
     random_ideal,
 )
 
-# Exhaustive subset enumeration is required (dominance of subsets is not
-# monotone in any way the search could exploit), so cap the generator count.
+# The largest dominant subset is searched exhaustively, largest size first,
+# so cap the generator count.
 SUBSET_SEARCH_CAP = 24
 
 
@@ -119,9 +119,9 @@ def largest_dominant_subset_with(
     Requires a semidominant ideal (p = 1) whose nondominant generator is
     the given index. Enumerates subsets in decreasing cardinality with an
     early exit on the first dominant hit, so the witness is the
-    lexicographically least one of maximal size. The search is exhaustive
-    within each size: subsets of a dominant set need not stay dominant,
-    so no pruning by inclusion is sound.
+    lexicographically least one of maximal size. Dominance is
+    hereditary: in a subset each member has fewer rivals to beat, so it
+    keeps its dominant variables.
     """
     if len(ideal) > SUBSET_SEARCH_CAP:
         raise CapExceededError(

@@ -76,11 +76,6 @@ class Face:
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         return (len(self.members), self.members)
 
-    def __hash__(self) -> int:
-        # Equal faces have equal members and so equal masks; the generated
-        # hash would recurse through every member and the multidegree.
-        return self.mask
-
 
 def _face(members: tuple[int, ...], mdeg: Monomial, mask: int) -> Face:
     """A Face built without validation, from strictly increasing members
@@ -170,7 +165,12 @@ class Resolution:
             yield from module
 
     def find_face(self, members: Iterable[int]) -> Face | None:
-        return face_with_members(self.modules, members)
+        members = tuple(sorted(members))
+        if len(members) < len(self.modules):
+            for face in self.modules[len(members)]:
+                if face.members == members:
+                    return face
+        return None
 
     def copy(self) -> Resolution:
         diffs: list[DifferentialMatrix | None] = [None]
@@ -178,20 +178,6 @@ class Resolution:
             assert matrix is not None
             diffs.append(DifferentialMatrix(dict(matrix.entries)))
         return Resolution([list(m) for m in self.modules], diffs, list(self.trail))
-
-
-def face_with_members(
-    modules: Sequence[Iterable[Face]], members: Iterable[int]
-) -> Face | None:
-    """The face with the given members in per-degree face collections, or None."""
-    members = tuple(sorted(members))
-    degree = len(members)
-    if degree >= len(modules):
-        return None
-    for face in modules[degree]:
-        if face.members == members:
-            return face
-    return None
 
 
 def strip_trailing_zeros(values: Iterable[int]) -> tuple[int, ...]:
@@ -286,17 +272,13 @@ class LcmLattice:
 
 
 def lcm_lattice(ideal: MonomialIdeal) -> LcmLattice:
-    """The subset lcms, ascending, by join-closure from the unit: lcm(p, g)
-    for every point p and generator g until nothing new appears, so
-    |lattice| * q lcms rather than 2^q. Its size has the Taylor face cap."""
-    gens = [g.exponents for g in ideal.generators]
+    """The subset lcms, ascending, closed one generator at a time: the
+    lcms over the first k generators are those over the first k - 1 and
+    their joins with generator k, so sum_k |L_k| lcms rather than 2^q.
+    Its size has the Taylor face cap, checked after each generator."""
     points = {(0,) * len(ideal.vars)}
-    todo = list(points)
-    while todo:
-        p = todo.pop()
-        fresh = {tuple(map(max, p, g)) for g in gens} - points
-        points |= fresh
-        todo += fresh
+    for g in ideal.generators:
+        points |= {tuple(map(max, p, g.exponents)) for p in points}
         if len(points) > 1 << TAYLOR_MAX_GENERATORS:
             raise CapExceededError(
                 f"the lcm lattice has over 2^{TAYLOR_MAX_GENERATORS} points"

@@ -80,7 +80,13 @@ def reference_invertible_positions(work):
             for row, entry in col_entries.items():
                 if entry.is_invertible:
                     found.append((degree, row, col))
-    found.sort(key=lambda t: (t[0], t[2].members, t[1].members))
+    found.sort(
+        key=lambda t: (
+            t[0],
+            work.modules[t[0]][t[2]].members,
+            work.modules[t[0] - 1][t[1]].members,
+        )
+    )
     return found
 
 
@@ -89,7 +95,8 @@ def assert_index_current(work):
         reference_invertible_positions(work)
     )
     assert all(
-        cm == c.members and rm == r.members for _, cm, rm, r, c in work.pivots
+        cm == work.modules[j][c].members and rm == work.modules[j - 1][r].members
+        for j, cm, rm, r, c in work.pivots
     )
 
 
@@ -149,9 +156,23 @@ def test_pivot_index_through_non_facet_fill_in():
     with index_checked_after_every_step() as steps:
         stuck = eliminate_face_facet_pairs(taylor, script).resolution
         work = _Work(stuck)
-        assert any(not r.is_facet_of(c) for _, _, _, r, c in work.pivots)
+        assert any(
+            not work.modules[j - 1][r].is_facet_of(work.modules[j][c])
+            for j, _, _, r, c in work.pivots
+        )
         minimize_generic(stuck)
     assert steps.count("cancel") == 2 + 1
+
+
+def test_work_keys_faces_by_mask():
+    outcome = eliminate_face_facet_pairs(build_taylor(I("x^2, x*y, y^3")))
+    work = _Work(outcome.resolution)
+    keys = [k for m in work.modules for k in m]
+    for d in work.by_col + work.by_row:
+        for key, inner in d.items():
+            keys += [key, *inner]
+    assert keys and all(type(k) is int for k in keys)
+    assert all(k == face.mask for m in work.modules for k, face in m.items())
 
 
 def test_equal_faces_hash_equal():
@@ -169,51 +190,54 @@ def test_equal_faces_hash_equal():
 # --- the fill-in loop against its reference ---------------------------------------
 
 
-def reference_change_of_basis(work, degree, row_face, col_face):
-    """The plain fill-in loop, kept as the reference: dataclass face
-    equality, and one get, one division and one exact_div per position.
-    Used as a method of _ReferenceWork."""
-    pivot = work.get(degree, row_face, col_face)
+def reference_change_of_basis(work, degree, row, col):
+    """The plain fill-in loop, kept as the reference: one get, one
+    division and one exact_div per position, faces read from
+    work.modules by mask. Used as a method of _ReferenceWork."""
+    pivot = work.get(degree, row, col)
     if pivot is None:
         raise IdealError("no entry there")
     if not pivot.is_invertible:
         raise IdealError("pivot is not invertible")
-    old_row = dict(work.by_row[degree].get(row_face, {}))
-    old_col = dict(work.by_col[degree].get(col_face, {}))
-    for d_face, a_rd in old_row.items():
-        if d_face == col_face:
+    row_face = work.modules[degree - 1][row]
+    old_row = dict(work.by_row[degree].get(row, {}))
+    old_col = dict(work.by_col[degree].get(col, {}))
+    for d, a_rd in old_row.items():
+        if d == col:
             continue
-        for c_face, a_cs in old_col.items():
-            if c_face == row_face:
+        for c, a_cs in old_col.items():
+            if c == row:
                 continue
-            current = work.get(degree, c_face, d_face)
+            current = work.get(degree, c, d)
             scalar = (Fraction(0) if current is None else current.scalar) - (
                 a_rd.scalar * a_cs.scalar / pivot.scalar
             )
             if scalar == 0:
                 if current is not None:
-                    work.delete(degree, c_face, d_face)
+                    work.delete(degree, c, d)
             else:
+                d_face = work.modules[degree][d]
+                c_face = work.modules[degree - 1][c]
                 work.set(
                     degree,
-                    c_face,
-                    d_face,
+                    c,
+                    d,
                     Entry(scalar, d_face.mdeg.exact_div(c_face.mdeg)),
                 )
-    for d_face in old_row:
-        if d_face != col_face:
-            work.delete(degree, row_face, d_face)
-    for c_face in old_col:
-        if c_face != row_face:
-            work.delete(degree, c_face, col_face)
+    for d in old_row:
+        if d != col:
+            work.delete(degree, row, d)
+    for c in old_col:
+        if c != row:
+            work.delete(degree, c, col)
     unit = row_face.mdeg.vars.unit()
-    work.set(degree, row_face, col_face, Entry(Fraction(1), unit))
+    work.set(degree, row, col, Entry(Fraction(1), unit))
     if degree + 1 <= work.top:
-        for col in list(work.by_row[degree + 1].get(col_face, {})):
-            work.delete(degree + 1, col_face, col)
+        for up in list(work.by_row[degree + 1].get(col, {})):
+            work.delete(degree + 1, col, up)
     if degree - 1 >= 1:
-        for row in list(work.by_col[degree - 1].get(row_face, {})):
-            work.delete(degree - 1, row, row_face)
+        for down in list(work.by_col[degree - 1].get(row, {})):
+            work.delete(degree - 1, down, row)
 
 
 class _ReferenceWork(_Work):
@@ -245,11 +269,12 @@ def work_state(work):
 
 def assert_same_work(work, reference):
     assert work_state(work) == work_state(reference)
-    for d in work.by_col[1:]:
+    for j, d in enumerate(work.by_col[1:], 1):
         for col, entries in d.items():
             for row, entry in entries.items():
                 assert type(entry.scalar) is Fraction
-                assert entry.monomial == col.mdeg.exact_div(row.mdeg)
+                col_face, row_face = work.modules[j][col], work.modules[j - 1][row]
+                assert entry.monomial == col_face.mdeg.exact_div(row_face.mdeg)
 
 
 @contextmanager

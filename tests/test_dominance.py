@@ -159,6 +159,20 @@ def test_dominance_monotone_under_shrinking(ideal, data):
     assert dominant_variables(subset_indices.index(target), subset)
 
 
+@given(ideals(min_gens=1, max_gens=5))
+def test_dominant_subsets_are_hereditary(ideal):
+    # in a subset each member has fewer rivals, so it keeps its dominant
+    # variables: every nonempty subset of a dominant set is dominant
+    gens = ideal.generators
+    for size in range(1, len(gens) + 1):
+        for chosen in combinations(gens, size):
+            if not is_dominant_subset(chosen):
+                continue
+            for smaller in range(1, size):
+                for subset in combinations(chosen, smaller):
+                    assert is_dominant_subset(subset)
+
+
 def test_two_generator_minimal_ideals_are_dominant_exhaustive():
     # every minimal 2-generator ideal over 2 variables, exponents <= 3
     vars = VariableSet(("x", "y"))

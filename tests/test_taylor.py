@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import I, ideals
+from monores import taylor
 from monores.cancellation import find_invertible_entries
 from monores.dominance import classify
 from monores.monomials import CapExceededError, Monomial, MonomialIdeal, VariableSet
@@ -199,6 +200,14 @@ def test_lcm_lattice_past_the_taylor_cap():
     )
     assert [m.exponents for m in lattice.monomials] == expected
     assert not lattice.is_boolean
+
+
+def test_lcm_lattice_cap(monkeypatch):
+    # Coprime generators have a Boolean lattice of 2^q points.
+    monkeypatch.setattr(taylor, "TAYLOR_MAX_GENERATORS", 3)
+    assert len(lcm_lattice(I("x, y, z")).monomials) == 2**3
+    with pytest.raises(CapExceededError, match="over 2\\^3 points"):
+        lcm_lattice(I("x, y, z, w"))
 
 
 # --- structural properties ------------------------------------------------------
