@@ -165,6 +165,11 @@ def _emit(args, payload: dict, lines: list[str], warnings: list[str]) -> None:
 
 def cmd_classify(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
     report = classify(ideal)
+    generic = is_generic(ideal)
+    complete_intersection = is_complete_intersection(ideal)
+    dominant = [
+        sorted(ideal.vars.names[v] for v in dom) for _, dom in report.per_generator
+    ]
     payload = {
         "command": "classify",
         "ideal": ideal_json(ideal),
@@ -175,24 +180,22 @@ def cmd_classify(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
             {
                 "index": i,
                 "monomial": monomial_json(ideal.generators[i]),
-                "dominant_variables": sorted(
-                    ideal.vars.names[v] for v in dom
-                ),
+                "dominant_variables": names,
             }
-            for i, dom in report.per_generator
+            for i, names in enumerate(dominant)
         ],
-        "generic": is_generic(ideal),
-        "complete_intersection": is_complete_intersection(ideal),
+        "generic": generic,
+        "complete_intersection": complete_intersection,
     }
     lines = [
         f"ideal: {ideal}",
         f"class: {report.class_label} (p={report.p})",
     ]
-    for i, dom in report.per_generator:
-        names = ", ".join(sorted(ideal.vars.names[v] for v in dom)) or "-"
-        lines.append(f"  generator {i}: {ideal.generators[i]}  dominant: {names}")
-    lines.append(f"generic: {is_generic(ideal)}")
-    lines.append(f"complete intersection: {is_complete_intersection(ideal)}")
+    for i, names in enumerate(dominant):
+        shown = ", ".join(names) or "-"
+        lines.append(f"  generator {i}: {ideal.generators[i]}  dominant: {shown}")
+    lines.append(f"generic: {generic}")
+    lines.append(f"complete intersection: {complete_intersection}")
     _emit(args, payload, lines, warnings)
     return 0
 
@@ -345,10 +348,7 @@ def cmd_invariants(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
     payload = {
         "command": "invariants",
         "ideal": ideal_json(ideal),
-        "betti": list(report.betti),
-        "pd": report.pd,
-        "reg": report.reg,
-        "sources": dict(report.sources),
+        **report_json(report),
         "closed_form": report_json(closed),
         "from_resolution": report_json(derived),
         "agree": True,

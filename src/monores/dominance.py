@@ -22,20 +22,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
-from .monomials import (
-    CapExceededError,
-    IdealError,
-    Monomial,
-    MonomialIdeal,
-    random_ideal,
-)
+from .monomials import IdealError, Monomial, MonomialIdeal, random_ideal
 
-# The largest dominant subset is searched exhaustively, largest size first,
-# so cap the generator count.
-SUBSET_SEARCH_CAP = 24
+# Draws random_ideal_of_class makes before giving up on a class.
+_CLASS_ATTEMPTS = 5000
 
 
 @dataclass(frozen=True)
@@ -116,18 +108,15 @@ def largest_dominant_subset_with(
 ) -> tuple[int, tuple[int, ...]]:
     """Largest dominant subset of the generators containing the given one.
 
-    Requires a semidominant ideal (p = 1) whose nondominant generator is
-    the given index. Enumerates subsets in decreasing cardinality with an
-    early exit on the first dominant hit, so the witness is the
-    lexicographically least one of maximal size. Dominance is
-    hereditary: in a subset each member has fewer rivals to beat, so it
-    keeps its dominant variables.
+    Requires a semidominant ideal (p = 1) whose nondominant generator n is
+    the given index. Every other generator is dominant in the whole set,
+    and dominance is hereditary (in a subset each member has fewer rivals
+    to beat), so S plus n is dominant iff n does not divide lcm(S), that
+    is, iff S lies in S_v = {i : e_i(v) < e_n(v)} for some variable v.
+    The largest such sets are the largest S_v plus n, found in O(q * n)
+    with no subset search; the witness is the lexicographically least of
+    them.
     """
-    if len(ideal) > SUBSET_SEARCH_CAP:
-        raise CapExceededError(
-            f"subset search supports at most {SUBSET_SEARCH_CAP} generators,"
-            f" got {len(ideal)}"
-        )
     report = classify(ideal)
     if report.p != 1 or report.nondominant_indices != (nondominant_index,):
         raise IdealError(
@@ -135,13 +124,17 @@ def largest_dominant_subset_with(
             " nondominant generator"
         )
     gens = ideal.generators
-    others = [i for i in range(len(gens)) if i != nondominant_index]
-    for size in range(len(gens), 0, -1):
-        for combo in combinations(others, size - 1):
-            indices = tuple(sorted(combo + (nondominant_index,)))
-            if is_dominant_subset([gens[i] for i in indices]):
-                return size, indices
-    raise AssertionError("unreachable: a singleton subset is always dominant")
+    beaten_by_n = (
+        tuple(
+            i
+            for i, g in enumerate(gens)
+            if i == nondominant_index or g.exponents[v] < e
+        )
+        for v, e in enumerate(gens[nondominant_index].exponents)
+        if e
+    )
+    best = min(beaten_by_n, key=lambda s: (-len(s), s))
+    return len(best), best
 
 
 def is_generic(ideal: MonomialIdeal) -> bool:
@@ -176,7 +169,6 @@ def random_ideal_of_class(
     n_gens: int,
     max_exp: int,
     cls: str = "any",
-    max_attempts: int = 5000,
 ) -> MonomialIdeal:
     """Resample random_ideal until the dominance class matches."""
     if cls == "any":
@@ -193,11 +185,11 @@ def random_ideal_of_class(
             f"impossible request: a {cls} ideal over {n_vars} variables has"
             f" {least} to {n_vars + want_p} generators"
         )
-    for _attempt in range(max_attempts):
+    for _attempt in range(_CLASS_ATTEMPTS):
         ideal = random_ideal(rng, n_vars, n_gens, max_exp)
         if classify(ideal).p == want_p:
             return ideal
     raise IdealError(
-        f"no {cls} ideal found in {max_attempts} attempts"
+        f"no {cls} ideal found in {_CLASS_ATTEMPTS} attempts"
         f" (vars={n_vars}, gens={n_gens}, max_exp={max_exp})"
     )

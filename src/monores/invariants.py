@@ -15,12 +15,11 @@ from itertools import combinations
 from math import comb
 
 from .cancellation import minimize_generic
-from .dominance import _dominance_split, classify, is_dominant_subset
+from .dominance import _dominance_split, classify, largest_dominant_subset_with
 from .monomials import IdealError, MonomialIdeal, lcm
 from .taylor import (
     Face,
     Resolution,
-    _bits,
     _face_from_mask,
     _mdeg_by_mask,
     _subsets_by_lcm,
@@ -105,33 +104,33 @@ def invariants_semidominant(ideal: MonomialIdeal) -> InvariantsReport:
     dominant generators whose lcm n does not divide:
     betti[i] = #B_i + #B_{i-1}; pd is the size of the largest dominant
     subset containing n; reg maximizes deg(mdeg) - size over dominant
-    subsets containing n. One pass over the subsets of the dominant
-    generators counts B and, adding n, finds pd and reg. Subset lcms are
-    read from one table of all 2^q, so the Taylor cap applies.
+    subsets containing n. Each dominant generator stays dominant in any
+    subset (dominance is hereditary), so S plus n is dominant iff n does
+    not divide lcm(S), iff S is in B: one pass over the subsets of the
+    dominant generators counts B and, adding n, finds reg. pd is read
+    from `largest_dominant_subset_with` and must equal len(betti) - 1.
+    Subset lcms are read from one table of all 2^q, so the Taylor cap
+    applies.
     """
     (n_index,), dominant_indices = _dominance_split(
         ideal, 1, "closed form requires a semidominant ideal"
     )
-    gens = ideal.generators
-    n = gens[n_index]
+    n = ideal.generators[n_index]
     n_bit = 1 << n_index
     mdegs = _mdeg_by_mask(ideal)
 
     # The empty subset comes first: n never divides 1, and {n} is dominant.
     b_counts = [0] * (len(dominant_indices) + 1)
-    pd = reg = 0
-    for mask in range(1 << len(gens)):
-        if mask & n_bit:
+    reg = 0
+    for mask in range(1 << len(ideal)):
+        if mask & n_bit or n.divides(mdegs[mask]):
             continue
         size = mask.bit_count()
-        if not n.divides(mdegs[mask]):
-            b_counts[size] += 1
-        with_n = mask | n_bit
-        if is_dominant_subset([gens[i] for i in _bits(with_n)]):
-            pd = max(pd, size + 1)
-            reg = max(reg, mdegs[with_n].total_degree() - size - 1)
+        b_counts[size] += 1
+        reg = max(reg, mdegs[mask | n_bit].total_degree() - size - 1)
 
     betti = strip_trailing_zeros(a + b for a, b in zip(b_counts + [0], [0] + b_counts))
+    pd, _witness = largest_dominant_subset_with(ideal, n_index)
     if len(betti) - 1 != pd:
         raise OracleDisagreementError(
             "semidominant closed forms disagree on projective dimension"

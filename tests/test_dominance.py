@@ -13,7 +13,15 @@ from monores.dominance import (
     is_generic,
     largest_dominant_subset_with,
 )
-from monores.monomials import IdealError, Monomial, MonomialIdeal, VariableSet
+from monores.invariants import invariants_semidominant
+from monores.monomials import (
+    IdealError,
+    Monomial,
+    MonomialIdeal,
+    VariableSet,
+    lcm,
+    random_ideal,
+)
 
 
 # --- dominant_variables -------------------------------------------------------
@@ -108,6 +116,66 @@ def test_largest_dominant_subset_examples():
 def test_largest_dominant_subset_requires_semidominant():
     with pytest.raises(IdealError):
         largest_dominant_subset_with(I("x^2, y^2"), 0)
+
+
+def searched_largest_dominant_subset_with(ideal, n_index):
+    """Reference: the first dominant set containing n in a search over
+    every subset, largest size first and lexicographic within a size."""
+    gens = ideal.generators
+    others = [i for i in range(len(gens)) if i != n_index]
+    for size in range(len(gens), 0, -1):
+        for combo in combinations(others, size - 1):
+            indices = tuple(sorted(combo + (n_index,)))
+            if is_dominant_subset([gens[i] for i in indices]):
+                return size, indices
+
+
+def random_semidominant_ideals(count, seed=7):
+    """(ideal, n_index) for semidominant ideals over 2-6 variables, q <= 8."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        n_vars = rng.randint(2, 6)
+        n_gens = rng.randint(3, min(8, n_vars + 1))
+        try:
+            ideal = random_ideal(rng, n_vars, n_gens, rng.randint(1, 4))
+        except IdealError:
+            continue
+        report = classify(ideal)
+        if report.p == 1:
+            found.append((ideal, report.nondominant_indices[0]))
+    return found
+
+
+def test_largest_dominant_subset_matches_subset_search():
+    for ideal, n_index in random_semidominant_ideals(150):
+        expected = searched_largest_dominant_subset_with(ideal, n_index)
+        assert largest_dominant_subset_with(ideal, n_index) == expected
+
+
+def test_semidominant_reg_maximizes_over_dominant_sets_with_n():
+    for ideal, n_index in random_semidominant_ideals(60, seed=11):
+        gens = ideal.generators
+        others = [gens[i] for i in range(len(gens)) if i != n_index]
+        expected = 0
+        for size in range(len(gens)):
+            for combo in combinations(others, size):
+                chosen = [*combo, gens[n_index]]
+                if is_dominant_subset(chosen):
+                    reg = lcm(chosen).total_degree() - len(chosen)
+                    expected = max(expected, reg)
+        assert invariants_semidominant(ideal).reg == expected
+
+
+def test_largest_dominant_subset_past_24_generators():
+    # n = x1*x2 beats the squares of every variable but x1 (or x2)
+    squares = ", ".join(f"x{k}^2" for k in range(1, 25))
+    ideal = I(f"{squares}, x1*x2")
+    size, witness = largest_dominant_subset_with(ideal, 24)
+    assert (size, witness) == (24, (0, *range(2, 25)))
+    gens = ideal.generators
+    assert is_dominant_subset([gens[i] for i in witness])
+    assert not is_dominant_subset([gens[i] for i in sorted(witness + (1,))])
 
 
 # --- generic / complete intersection -------------------------------------------

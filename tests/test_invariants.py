@@ -6,7 +6,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 from conftest import I, ideals
 from monores.cancellation import check_theorem71_hypothesis, minimize_generic
-from monores.dominance import classify, random_ideal_of_class
+from monores.dominance import classify
 from monores.invariants import (
     betti_dominant,
     invariants_from_resolution,
@@ -19,9 +19,9 @@ from monores.invariants import (
     scarf_parity_test_2semidominant,
     scarf_sufficient_exponents,
 )
-from monores.monomials import IdealError
+from monores.monomials import IdealError, random_ideal
 from monores.taylor import Face, build_taylor, lcm_lattice, strip_trailing_zeros
-from monores.verify import betti_oracle
+from monores.verify import OracleDisagreementError, betti_oracle
 
 
 # --- scarf complex ----------------------------------------------------------------
@@ -124,6 +124,20 @@ def test_invariants_semidominant_small():
 def test_invariants_semidominant_rejects_other_classes():
     with pytest.raises(IdealError):
         invariants_semidominant(I("x^2, y^3"))
+
+
+def test_invariants_semidominant_pd_cross_check_can_fail(monkeypatch):
+    import monores.invariants as invariants
+
+    real = invariants.largest_dominant_subset_with
+
+    def one_too_many(ideal, n_index):
+        size, witness = real(ideal, n_index)
+        return size + 1, witness
+
+    monkeypatch.setattr(invariants, "largest_dominant_subset_with", one_too_many)
+    with pytest.raises(OracleDisagreementError):
+        invariants_semidominant(I("x^3y, y^2z, xz^2, xyz"))
 
 
 # --- pd = 2 test -------------------------------------------------------------------------
@@ -287,10 +301,15 @@ def sampled_ideals(draw, cls="any"):
     n_gens = draw(st.integers(1, 6) if cls == "any" else st.integers(3, n_vars + 2))
     max_exp = draw(st.integers(2, 4))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    try:
-        return random_ideal_of_class(rng, n_vars, n_gens, max_exp, cls, 50)
-    except IdealError:
-        reject()
+    want_p = {"dominant": 0, "semi1": 1, "semi2": 2}.get(cls)
+    for _attempt in range(50):
+        try:
+            ideal = random_ideal(rng, n_vars, n_gens, max_exp)
+        except IdealError:
+            reject()
+        if want_p is None or classify(ideal).p == want_p:
+            return ideal
+    reject()
 
 
 def taylor_classes(ideal):

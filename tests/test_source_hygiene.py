@@ -3,7 +3,8 @@
 An import that nothing in its module uses fails, unless its line carries
 `# noqa: F401` or its name is listed in the module's `__all__`. So does a
 private module-level function or class that no module of the package
-references.
+references. So does a name the package's `__all__` lists but never binds,
+or a name `__init__.py` imports but leaves out of `__all__`.
 """
 
 import ast
@@ -58,6 +59,27 @@ def unreferenced_private_definitions(sources):
     ]
 
 
+def export_mismatches(source):
+    """(names `__all__` lists that the module never binds, names the module
+    imports that `__all__` leaves out), each sorted."""
+    tree = ast.parse(source)
+    imported, bound, listed = set(), set(), set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id == "__all__":
+                    listed = set(ast.literal_eval(node.value))
+                elif isinstance(target, ast.Name):
+                    bound.add(target.id)
+    return sorted(listed - bound - imported), sorted(imported - listed)
+
+
 def package_sources():
     return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -73,6 +95,33 @@ def test_package_has_no_unused_imports():
 
 def test_package_has_no_unreferenced_private_definitions():
     assert unreferenced_private_definitions(package_sources()) == []
+
+
+def test_package_exports_are_bound_and_complete():
+    import monores
+
+    assert export_mismatches(package_sources()["__init__"]) == ([], [])
+    namespace = {}
+    exec("from monores import *", namespace)
+    assert set(monores.__all__) <= set(namespace)
+
+
+def test_export_check_flags_stale_and_missing_names():
+    source = (
+        "from __future__ import annotations\n"
+        "from .a import kept, dropped\n"
+        "import json\n"
+        "LIMIT = 3\n"
+        "def helper():\n"
+        "    return kept\n"
+        "__all__ = ['LIMIT', 'STALE', 'helper', 'kept']\n"
+    )
+    assert export_mismatches(source) == (["STALE"], ["dropped", "json"])
+    # A stale entry left in the real package's list is caught too.
+    stale = package_sources()["__init__"].replace(
+        "__all__ = [\n", '__all__ = [\n    "SUBSET_SEARCH_CAP",\n'
+    )
+    assert export_mismatches(stale) == (["SUBSET_SEARCH_CAP"], [])
 
 
 def test_checks_flag_what_they_are_for():
