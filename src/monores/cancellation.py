@@ -236,16 +236,6 @@ class _Work:
             if not row_entries:
                 del self.by_row[degree][row]
 
-    def delete_face(self, degree: int, face: int) -> None:
-        # Entries first: deleting a pivot reads the members of both faces.
-        if degree >= 1:
-            for row in list(self.by_col[degree].get(face, {})):
-                self.delete(degree, row, face)
-        if degree + 1 <= self.top:
-            for col in list(self.by_row[degree + 1].get(face, {})):
-                self.delete(degree + 1, face, col)
-        del self.modules[degree][face]
-
     def change_of_basis(self, degree: int, row: int, col: int) -> None:
         pivot = self.get(degree, row, col)
         if pivot is None:
@@ -315,8 +305,12 @@ class _Work:
             )
         sigma, tau = self.modules[degree][col], self.modules[degree - 1][row]
         self.change_of_basis(degree, row, col)
-        self.delete_face(degree, col)
-        self.delete_face(degree - 1, row)
+        # Fill-in writes no entry in the pivot's row or column, and the
+        # adjacent row and column are cleared, so the pivot is the one entry
+        # left on either face. It goes first: its delete reads both faces.
+        self.delete(degree, row, col)
+        del self.modules[degree][col]
+        del self.modules[degree - 1][row]
         self.trail.append(CancellationEvent(sigma, tau, pivot.scalar, strategy_tag))
 
     def facet_pivots(self) -> Iterator[tuple[int, int, int]]:

@@ -4,7 +4,8 @@ This module holds only argument parsing, the commands and their JSON and
 text encoders; parsing, random generation and the invariants cross-check
 are library code. Exit codes: 0 success, 1 user error, 2 size cap
 exceeded, 3 internal oracle disagreement. JSON output carries a stable
-versioned schema; the default output is a compact human-readable report.
+versioned schema whose envelope `_emit` alone writes; the default output
+is a compact human-readable report.
 """
 
 from __future__ import annotations
@@ -152,10 +153,24 @@ def _load_spec(args) -> IdealSpec:
     return parse_ideal(text, strict=getattr(args, "strict", False))
 
 
-def _emit(args, payload: dict, lines: list[str], warnings: list[str]) -> None:
+def _emit(
+    args,
+    ideal: MonomialIdeal | None,
+    payload: dict,
+    lines: list[str],
+    warnings: list[str],
+) -> None:
+    """Print a command's report: JSON schema 1, or text after warnings.
+
+    The envelope (schema, warnings, command name and, for the commands
+    that read one, the ideal) is written here and nowhere else.
+    """
+    if ideal is not None:
+        payload = {"ideal": ideal_json(ideal), **payload}
+        lines = [f"ideal: {ideal}", *lines]
     if args.json:
-        payload = {"schema": JSON_SCHEMA_VERSION, "warnings": warnings, **payload}
-        print(json.dumps(payload))
+        envelope = {"schema": JSON_SCHEMA_VERSION, "warnings": warnings}
+        print(json.dumps({**envelope, "command": args.command, **payload}))
     else:
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
@@ -171,8 +186,6 @@ def cmd_classify(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
         sorted(ideal.vars.names[v] for v in dom) for _, dom in report.per_generator
     ]
     payload = {
-        "command": "classify",
-        "ideal": ideal_json(ideal),
         "p": report.p,
         "class": report.class_label,
         "nondominant_indices": list(report.nondominant_indices),
@@ -187,16 +200,13 @@ def cmd_classify(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
         "generic": generic,
         "complete_intersection": complete_intersection,
     }
-    lines = [
-        f"ideal: {ideal}",
-        f"class: {report.class_label} (p={report.p})",
-    ]
+    lines = [f"class: {report.class_label} (p={report.p})"]
     for i, names in enumerate(dominant):
         shown = ", ".join(names) or "-"
         lines.append(f"  generator {i}: {ideal.generators[i]}  dominant: {shown}")
     lines.append(f"generic: {generic}")
     lines.append(f"complete intersection: {complete_intersection}")
-    _emit(args, payload, lines, warnings)
+    _emit(args, ideal, payload, lines, warnings)
     return 0
 
 
@@ -205,8 +215,6 @@ def cmd_taylor(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
     classes = repeated_multidegree_classes(res)
     lattice = lcm_lattice(ideal)
     payload = {
-        "command": "taylor",
-        "ideal": ideal_json(ideal),
         **resolution_json(res, full=args.full),
         "repeated_multidegrees": [
             {
@@ -219,7 +227,6 @@ def cmd_taylor(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
         "lcm_lattice_boolean": lattice.is_boolean,
     }
     lines = [
-        f"ideal: {ideal}",
         f"taylor ranks: {list(res.ranks())}",
         f"lcm lattice: {len(lattice.monomials)} elements,"
         f" boolean={lattice.is_boolean}",
@@ -238,7 +245,7 @@ def cmd_taylor(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
                     f"  [{ri},{ci}] = {entry.scalar} * {entry.monomial}"
                     f"  ({face_str(rows[ri], ideal)} <- {face_str(cols[ci], ideal)})"
                 )
-    _emit(args, payload, lines, warnings)
+    _emit(args, ideal, payload, lines, warnings)
     return 0
 
 
@@ -274,8 +281,6 @@ def cmd_minimize(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
     res = outcome.resolution
     generic_payload = resolution_json(minimize_generic(res)) if args.generic else None
     payload = {
-        "command": "minimize",
-        "ideal": ideal_json(ideal),
         "strategy": args.strategy,
         "status": outcome.status,
         "stuck_witness": (
@@ -287,7 +292,6 @@ def cmd_minimize(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
         "generic_phase": generic_payload,
     }
     lines = [
-        f"ideal: {ideal}",
         f"strategy: {args.strategy}",
         f"status: {outcome.status}",
         f"ranks: {list(res.ranks())}",
@@ -304,7 +308,7 @@ def cmd_minimize(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
         lines.append(f"stuck witness: {shown}")
     if generic_payload is not None:
         lines.append(f"generic fallback ranks: {generic_payload['ranks']}")
-    _emit(args, payload, lines, warnings)
+    _emit(args, ideal, payload, lines, warnings)
     return 0
 
 
@@ -313,19 +317,16 @@ def cmd_scarf(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
     counts = scarf_face_counts(ideal)
     scarf = is_scarf(ideal)
     payload = {
-        "command": "scarf",
-        "ideal": ideal_json(ideal),
         "faces": [face_json(f) for f in faces],
         "counts": list(counts),
         "is_scarf": scarf,
     }
     lines = [
-        f"ideal: {ideal}",
         f"scarf face counts: {list(counts)}",
         "faces: " + " ".join(face_str(f, ideal) for f in faces),
         f"is_scarf: {scarf}",
     ]
-    _emit(args, payload, lines, warnings)
+    _emit(args, ideal, payload, lines, warnings)
     return 0
 
 
@@ -346,15 +347,12 @@ def cmd_invariants(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
         }
 
     payload = {
-        "command": "invariants",
-        "ideal": ideal_json(ideal),
         **report_json(report),
         "closed_form": report_json(closed),
         "from_resolution": report_json(derived),
         "agree": True,
     }
     lines = [
-        f"ideal: {ideal}",
         f"betti: {list(report.betti)}",
         f"pd: {report.pd}",
         f"reg: {report.reg}",
@@ -362,7 +360,7 @@ def cmd_invariants(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
     ]
     if closed is not None:
         lines.append("closed-form and resolution-derived values agree")
-    _emit(args, payload, lines, warnings)
+    _emit(args, ideal, payload, lines, warnings)
     return 0
 
 
@@ -389,14 +387,8 @@ def cmd_verify(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
 
     taylor_report = section(taylor)
     minimal_report = section(minimal)
-    payload = {
-        "command": "verify",
-        "ideal": ideal_json(ideal),
-        "taylor": taylor_report,
-        "minimized": minimal_report,
-    }
+    payload = {"taylor": taylor_report, "minimized": minimal_report}
     lines = [
-        f"ideal: {ideal}",
         f"taylor:    compose={taylor_report['compose']}"
         f" strands={taylor_report['strands_exact']}"
         f" minimal={taylor_report['minimal']} ranks={taylor_report['ranks']}",
@@ -404,7 +396,7 @@ def cmd_verify(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
         f" strands={minimal_report['strands_exact']}"
         f" minimal={minimal_report['minimal']} ranks={minimal_report['ranks']}",
     ]
-    _emit(args, payload, lines, warnings)
+    _emit(args, ideal, payload, lines, warnings)
     if not (
         taylor_report["compose"]
         and taylor_report["strands_exact"]
@@ -419,8 +411,6 @@ def cmd_verify(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
 def cmd_t71_check(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
     report = check_theorem71_hypothesis(ideal)
     payload = {
-        "command": "t71-check",
-        "ideal": ideal_json(ideal),
         "holds": report.holds,
         "violations": [
             {
@@ -431,14 +421,14 @@ def cmd_t71_check(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
             for tau, sigma, other in report.violations
         ],
     }
-    lines = [f"ideal: {ideal}", f"hypothesis holds: {report.holds}"]
+    lines = [f"hypothesis holds: {report.holds}"]
     for tau, sigma, other in report.violations:
         lines.append(
             f"  violation: facet {face_str(tau, ideal)} of"
             f" {face_str(sigma, ideal)}; sibling facet {face_str(other, ideal)}"
             " shares the multidegree"
         )
-    _emit(args, payload, lines, warnings)
+    _emit(args, ideal, payload, lines, warnings)
     return 0
 
 
@@ -456,7 +446,6 @@ def cmd_random(args) -> int:
         for _ in range(args.count)
     ]
     payload = {
-        "command": "random",
         "seed": args.seed,
         "class": args.cls,
         "count": args.count,
@@ -466,7 +455,7 @@ def cmd_random(args) -> int:
         "ideals": [ideal_json(ideal) for ideal in ideals],
     }
     lines = [str(ideal) for ideal in ideals]
-    _emit(args, payload, lines, [])
+    _emit(args, None, payload, lines, [])
     return 0
 
 

@@ -117,12 +117,19 @@ def largest_dominant_subset_with(
     with no subset search; the witness is the lexicographically least of
     them.
     """
-    report = classify(ideal)
-    if report.p != 1 or report.nondominant_indices != (nondominant_index,):
+    if classify(ideal).nondominant_indices != (nondominant_index,):
         raise IdealError(
             "largest_dominant_subset_with needs a semidominant ideal and its"
             " nondominant generator"
         )
+    return _largest_dominant_subset_with(ideal, nondominant_index)
+
+
+def _largest_dominant_subset_with(
+    ideal: MonomialIdeal, nondominant_index: int
+) -> tuple[int, tuple[int, ...]]:
+    """`largest_dominant_subset_with` on an ideal already classified as
+    semidominant with that nondominant generator."""
     gens = ideal.generators
     beaten_by_n = (
         tuple(

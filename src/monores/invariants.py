@@ -15,7 +15,7 @@ from itertools import combinations
 from math import comb
 
 from .cancellation import minimize_generic
-from .dominance import _dominance_split, classify, largest_dominant_subset_with
+from .dominance import _dominance_split, _largest_dominant_subset_with, classify
 from .monomials import IdealError, MonomialIdeal, lcm
 from .taylor import (
     Face,
@@ -91,6 +91,10 @@ def betti_dominant(ideal: MonomialIdeal) -> InvariantsReport:
             "closed form requires a dominant ideal; use the resolution-derived"
             " path for general ideals"
         )
+    return _betti_dominant(ideal)
+
+
+def _betti_dominant(ideal: MonomialIdeal) -> InvariantsReport:
     q = len(ideal)
     betti = tuple(comb(q, i) for i in range(q + 1))
     reg = lcm(ideal.generators).total_degree() - q
@@ -112,15 +116,19 @@ def invariants_semidominant(ideal: MonomialIdeal) -> InvariantsReport:
     Subset lcms are read from one table of all 2^q, so the Taylor cap
     applies.
     """
-    (n_index,), dominant_indices = _dominance_split(
+    (n_index,), _ = _dominance_split(
         ideal, 1, "closed form requires a semidominant ideal"
     )
+    return _invariants_semidominant(ideal, n_index)
+
+
+def _invariants_semidominant(ideal: MonomialIdeal, n_index: int) -> InvariantsReport:
     n = ideal.generators[n_index]
     n_bit = 1 << n_index
     mdegs = _mdeg_by_mask(ideal)
 
     # The empty subset comes first: n never divides 1, and {n} is dominant.
-    b_counts = [0] * (len(dominant_indices) + 1)
+    b_counts = [0] * len(ideal)
     reg = 0
     for mask in range(1 << len(ideal)):
         if mask & n_bit or n.divides(mdegs[mask]):
@@ -130,7 +138,7 @@ def invariants_semidominant(ideal: MonomialIdeal) -> InvariantsReport:
         reg = max(reg, mdegs[mask | n_bit].total_degree() - size - 1)
 
     betti = strip_trailing_zeros(a + b for a, b in zip(b_counts + [0], [0] + b_counts))
-    pd, _witness = largest_dominant_subset_with(ideal, n_index)
+    pd, _witness = _largest_dominant_subset_with(ideal, n_index)
     if len(betti) - 1 != pd:
         raise OracleDisagreementError(
             "semidominant closed forms disagree on projective dimension"
@@ -197,11 +205,11 @@ def invariants_from_resolution(res: Resolution) -> InvariantsReport:
 
 
 def _closed_form(ideal: MonomialIdeal) -> InvariantsReport | None:
-    p = classify(ideal).p
-    if p == 0:
-        return betti_dominant(ideal)
-    if p == 1:
-        return invariants_semidominant(ideal)
+    nondominant = classify(ideal).nondominant_indices
+    if not nondominant:
+        return _betti_dominant(ideal)
+    if len(nondominant) == 1:
+        return _invariants_semidominant(ideal, nondominant[0])
     return None
 
 

@@ -196,10 +196,6 @@ class MonomialIdeal:
                         f"generating set is not minimal: {g} {what} {h}"
                     )
 
-    @property
-    def q(self) -> int:
-        return len(self.generators)
-
     def __len__(self) -> int:
         return len(self.generators)
 

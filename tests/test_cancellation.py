@@ -517,6 +517,21 @@ def test_change_of_basis_requires_invertible_pivot():
         standard_change_of_basis(res, 1, res.find_face(()), res.find_face((0,)))
 
 
+def test_pivot_moves_require_an_entry():
+    res = build_taylor(I("x, y, z"))
+    row, col = res.find_face((0,)), res.find_face((1, 2))
+    with pytest.raises(
+        IdealError,
+        match=r"^no entry at row \(0,\), column \(1, 2\) of the degree-2 differential$",
+    ):
+        standard_change_of_basis(res, 2, row, col)
+    with pytest.raises(
+        IdealError,
+        match=r"^cannot cancel row \(0,\), column \(1, 2\): no invertible entry there$",
+    ):
+        standard_cancellation(res, 2, row, col)
+
+
 # --- standard cancellation -------------------------------------------------------
 
 

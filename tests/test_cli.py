@@ -443,6 +443,25 @@ def test_verify_command(capsys):
     assert payload["minimized"]["ranks"] == [1, 3, 2, 0]
 
 
+def test_verify_command_exits_3_when_an_oracle_fails(capsys, monkeypatch):
+    import monores.cli as cli
+
+    real = cli.build_taylor
+
+    def drop_an_entry(ideal):
+        res = real(ideal)
+        del res.diffs[1].entries[(0, 0)]
+        return res
+
+    monkeypatch.setattr(cli, "build_taylor", drop_an_entry)
+    assert main(["verify", "x^2, x*y, y^3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith("ideal: x^2, x*y, y^3\ntaylor:    compose=False")
+    assert captured.err == (
+        "error: internal oracle disagreement: verification failed; see report\n"
+    )
+
+
 def test_t71_command(capsys):
     payload = run_json(capsys, ["t71-check", "x^2y^2z^2, xw^2, yw^2, zw"])
     assert payload["holds"] is False

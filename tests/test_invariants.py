@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -11,6 +12,7 @@ from monores.invariants import (
     betti_dominant,
     invariants_from_resolution,
     invariants_semidominant,
+    invariants_with_cross_check,
     is_scarf,
     pd_equals_two_test,
     scarf_complex,
@@ -129,15 +131,41 @@ def test_invariants_semidominant_rejects_other_classes():
 def test_invariants_semidominant_pd_cross_check_can_fail(monkeypatch):
     import monores.invariants as invariants
 
-    real = invariants.largest_dominant_subset_with
+    real = invariants._largest_dominant_subset_with
 
     def one_too_many(ideal, n_index):
         size, witness = real(ideal, n_index)
         return size + 1, witness
 
-    monkeypatch.setattr(invariants, "largest_dominant_subset_with", one_too_many)
+    monkeypatch.setattr(invariants, "_largest_dominant_subset_with", one_too_many)
     with pytest.raises(OracleDisagreementError):
         invariants_semidominant(I("x^3y, y^2z, xz^2, xyz"))
+
+
+def test_cross_check_on_a_dominant_ideal():
+    both = invariants_with_cross_check(I("x^2, x*z, y^3"))
+    assert both["closed_form"].source_of("betti") == "closed-form (dominant)"
+    assert both["closed_form"].betti == both["derived"].betti == (1, 3, 3, 1)
+
+
+def test_cross_check_without_a_closed_form():
+    both = invariants_with_cross_check(I("xy, yz, xz"))
+    assert both["closed_form"] is None
+    assert both["derived"].betti == (1, 3, 2)
+
+
+def test_cross_check_can_fail(monkeypatch):
+    import monores.invariants as invariants
+
+    real = invariants._closed_form
+
+    def reg_one_too_high(ideal):
+        report = real(ideal)
+        return replace(report, reg=report.reg + 1)
+
+    monkeypatch.setattr(invariants, "_closed_form", reg_one_too_high)
+    with pytest.raises(OracleDisagreementError, match="disagree with resolution"):
+        invariants_with_cross_check(I("x^3y, y^2z, xz^2, xyz"))
 
 
 # --- pd = 2 test -------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from monores.taylor import (
     lcm_lattice,
 )
 from monores.verify import (
+    OracleDisagreementError,
     StrandReport,
     _StrandIndex,
     betti_oracle,
@@ -662,6 +663,26 @@ def test_betti_oracle_examples():
     assert betti_oracle(I("x^3y, y^2z, xz^2, xyz")) == (1, 4, 3)
     assert betti_oracle(I("x^2, x*z, y^3")) == (1, 3, 3, 1)
     assert betti_oracle(I("xy, xz, yz")) == (1, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "text, mutate, message",
+    [
+        # A non-dominant ideal's Taylor complex is not minimal.
+        ("x^2, x*y, y^3", lambda res: res, "left an invertible entry"),
+        # A dominant ideal's Taylor complex is minimal, with a nonempty top.
+        ("x^2, x*z, y^3", flip_one_sign, "is not a complex"),
+        ("x^2, x*z, y^3", delete_top_face, "has an inexact strand"),
+    ],
+)
+def test_betti_oracle_rejects_a_broken_minimization(monkeypatch, text, mutate, message):
+    import monores.verify as verify
+
+    M = I(text)
+    broken = mutate(build_taylor(M))
+    monkeypatch.setattr(verify, "minimize_generic", lambda res: broken)
+    with pytest.raises(OracleDisagreementError, match=message):
+        betti_oracle(M)
 
 
 @settings(max_examples=20, deadline=None)
