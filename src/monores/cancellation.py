@@ -17,6 +17,15 @@ spans a split rank-one subcomplex that can be deleted outright: that
 deletion is a cancellation, and it shrinks two consecutive free modules
 by one each while the quotient stays a resolution of the same module.
 
+The arithmetic is exact throughout and runs on Python ints while values
+are integral. Taylor entries start at ±1, and in practice their pivots
+stay ±1, so their values stay integral. Each scalar is read once, as its
+numerator when its denominator is 1; a division by ±1 is a sign change
+and any other goes through Fraction, so no float ever appears. Ints and
+Fractions mix exactly in one expression, and a result becomes a
+Fraction again only where it is stored in an Entry, so Entry.scalar and
+the trail's pivot scalars are always Fractions.
+
 Strategies drive which pivots get cancelled. The face/facet eliminator
 only cancels pivots whose row face is a facet of its column face (that
 is the regime in which dominance theory guarantees order-independence);
@@ -50,16 +59,18 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import sub
 from typing import Iterator
 
 from .dominance import _dominance_split
-from .monomials import IdealError, MonomialIdeal
+from .monomials import IdealError, MonomialIdeal, _monomial
 from .taylor import (
     DifferentialMatrix,
     Entry,
     Face,
     Resolution,
     _bits,
+    _entry,
     _face_from_mask,
     _mask_of,
     _mdeg_by_mask,
@@ -147,6 +158,28 @@ Strategy = Deterministic | SeededRandom | Scripted
 
 
 _Pivot = tuple[int, tuple[int, ...], tuple[int, ...], int, int]
+
+_ONE = Fraction(1)
+
+
+def _value(x: Fraction) -> int | Fraction:
+    """x as an int when it is integral, else x itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _fraction(x: int | Fraction) -> Fraction:
+    """x as the Fraction an Entry stores."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def _divide(a: int | Fraction, b: int | Fraction) -> int | Fraction:
+    """The exact quotient a / b: a or -a when b is ±1, else a Fraction, so
+    that no division ever yields a float."""
+    if b == 1:
+        return a
+    if b == -1:
+        return -a
+    return Fraction(a, b)
 
 
 class _Work:
@@ -254,28 +287,39 @@ class _Work:
         rows, cols = self.modules[degree - 1], self.modules[degree]
 
         # Fill-in over the outer product of the pivot row and pivot column:
-        # b_cd = a_cd - a_rd * (a_cs / a_rs), the factor taken once per c.
-        pivot_scalar = pivot.scalar
+        # b_cd = a_cd - a_rd * (a_cs / a_rs), the factor taken once per c,
+        # on ints while the values are integral.
+        pivot_scalar = _value(pivot.scalar)
         factors = [
-            (c, a_cs.scalar / pivot_scalar) for c, a_cs in old_col.items() if c != row
+            (c, _divide(_value(a_cs.scalar), pivot_scalar))
+            for c, a_cs in old_col.items()
+            if c != row
         ]
+        vars = pivot.monomial.vars
         for d, a_rd in old_row.items():
             if d == col:
                 continue
             # The pivot row's entry keeps this column dict nonempty (and so
             # in place) until the clean-up below.
             d_entries = by_col[d]
-            a = a_rd.scalar
+            a = _value(a_rd.scalar)
+            d_exponents = cols[d].mdeg.exponents
             for c, factor in factors:
                 current = d_entries.get(c)
                 if current is None:
                     # Every entry at (c, d) carries mdeg(d) / mdeg(c).
-                    monomial = cols[d].mdeg.exact_div(rows[c].mdeg)
-                    self.set(degree, c, d, Entry(-(a * factor), monomial))
+                    quotient = tuple(map(sub, d_exponents, rows[c].mdeg.exponents))
+                    monomial = _monomial(vars, quotient)
+                    scalar = _fraction(-(a * factor))
+                    entry = _entry(scalar, monomial, not any(quotient))
+                    self.set(degree, c, d, entry)
                     continue
-                scalar = current.scalar - a * factor
+                scalar = _value(current.scalar) - a * factor
                 if scalar:
-                    self.set(degree, c, d, Entry(scalar, current.monomial))
+                    entry = _entry(
+                        _fraction(scalar), current.monomial, current.is_invertible
+                    )
+                    self.set(degree, c, d, entry)
                 else:
                     self.delete(degree, c, d)
 
@@ -286,7 +330,7 @@ class _Work:
         for c in old_col:
             if c != row:
                 self.delete(degree, c, col)
-        self.set(degree, row, col, Entry(Fraction(1), pivot.monomial))
+        self.set(degree, row, col, _entry(_ONE, pivot.monomial, True))
 
         # The adjacent differentials lose the pair's row and column.
         if degree + 1 <= self.top:

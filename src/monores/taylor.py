@@ -14,7 +14,9 @@ where facet_i drops r_i. Every matrix entry is therefore an exact
 rational scalar times a monomial, and the monomial of a nonzero entry
 always equals mdeg(column face) / mdeg(row face). An entry whose
 monomial part is 1 is called invertible; resolutions with no invertible
-entries are minimal.
+entries are minimal. An Entry is immutable and computes is_invertible
+once, when it is built, so build_taylor hands one shared Entry to every
+position with the same sign and the same quotient.
 
 Within a homological degree faces are ordered lexicographically by their
 sorted member tuples, which fixes the matrix layout and all signs. A
@@ -31,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 from .monomials import (
@@ -109,21 +112,37 @@ def _bits(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class Entry:
-    """One sparse matrix entry: a nonzero exact scalar times a monomial."""
+    """One sparse matrix entry: a nonzero exact scalar times a monomial.
+
+    is_invertible (the monomial part is 1) is computed once, at
+    construction; like Face.mask it takes no part in ==, hash or repr.
+    """
 
     scalar: Fraction
     monomial: Monomial
+    is_invertible: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        # Derived scalars are already Fractions; only wrap what is not.
-        if type(self.scalar) is not Fraction:
-            object.__setattr__(self, "scalar", Fraction(self.scalar))
+        scalar = self.scalar
+        # Only exact scalars: bool is an int subclass, and a float or a str
+        # would be silently rounded or parsed by Fraction.
+        if type(scalar) is not Fraction:
+            if isinstance(scalar, bool) or not isinstance(scalar, (int, Fraction)):
+                raise IdealError(f"entry scalars are ints or Fractions, got {scalar!r}")
+            object.__setattr__(self, "scalar", Fraction(scalar))
         if not self.scalar:
             raise IdealError("zero entries are represented by absence")
+        object.__setattr__(self, "is_invertible", self.monomial.is_unit)
 
-    @property
-    def is_invertible(self) -> bool:
-        return self.monomial.is_unit
+
+def _entry(scalar: Fraction, monomial: Monomial, invertible: bool) -> Entry:
+    """An Entry built without validation, from a nonzero Fraction and the
+    invertibility of monomial, which the caller already knows."""
+    entry = object.__new__(Entry)
+    object.__setattr__(entry, "scalar", scalar)
+    object.__setattr__(entry, "monomial", monomial)
+    object.__setattr__(entry, "is_invertible", invertible)
+    return entry
 
 
 @dataclass(eq=False)
@@ -232,17 +251,28 @@ def build_taylor(ideal: MonomialIdeal) -> Resolution:
         modules.append(faces)
         index_of.append({f.mask: i for i, f in enumerate(faces)})
 
+    # Entries are immutable, so one Entry serves every position with the
+    # same sign and quotient. A facet's lcm divides its face's, so the
+    # quotient is the plain exponent difference.
+    vars = ideal.vars
+    shared: dict[tuple[int, tuple[int, ...]], Entry] = {}
     diffs: list[DifferentialMatrix | None] = [None]
     for degree in range(1, q + 1):
         entries: dict[tuple[int, int], Entry] = {}
         facet_index = index_of[degree - 1]
         for ci, face in enumerate(modules[degree]):
-            mask, mdeg = face.mask, face.mdeg
+            mask, exponents = face.mask, face.mdeg.exponents
             for pos, member in enumerate(face.members):
                 facet_mask = mask ^ (1 << member)
-                entries[(facet_index[facet_mask], ci)] = Entry(
-                    minus if pos % 2 else plus, mdeg.exact_div(mdegs[facet_mask])
-                )
+                quotient = tuple(map(sub, exponents, mdegs[facet_mask].exponents))
+                entry = shared.get((pos & 1, quotient))
+                if entry is None:
+                    entry = shared[pos & 1, quotient] = _entry(
+                        minus if pos & 1 else plus,
+                        _monomial(vars, quotient),
+                        not any(quotient),
+                    )
+                entries[(facet_index[facet_mask], ci)] = entry
         diffs.append(DifferentialMatrix(entries))
     return Resolution(modules, diffs, [])
 

@@ -273,6 +273,7 @@ def assert_same_work(work, reference):
         for col, entries in d.items():
             for row, entry in entries.items():
                 assert type(entry.scalar) is Fraction
+                assert entry.is_invertible == entry.monomial.is_unit
                 col_face, row_face = work.modules[j][col], work.modules[j - 1][row]
                 assert entry.monomial == col_face.mdeg.exact_div(row_face.mdeg)
 
@@ -417,6 +418,41 @@ def test_fill_in_through_non_facet_pivots_on_distinct_faces():
     assert stuck.status == "stuck"
     assert minimal.ranks() == (1, 4, 4, 1, 0)
     assert steps.count("cancel") == 2 + 1
+
+
+@pytest.mark.parametrize("pivot", [2, 3])
+def test_fill_in_hands_integers_over_to_fractions(pivot):
+    """Integer scalars and an integer pivot p: the quotient 1/p of the pivot
+    column's other entry turns the fill-in into proper fractions, at a new
+    position (0 - 3 * 1/p) and at an existing one (1 - 1 * 1/p). A float
+    quotient would round 1/3."""
+    unit = VariableSet(("x",)).unit()
+    rows = [Face((0,), unit), Face((1,), unit)]
+    cols = [Face((0, 1), unit), Face((0, 2), unit), Face((1, 2), unit)]
+    d2 = {(0, 0): pivot, (1, 0): 1, (0, 1): 3, (0, 2): 1, (1, 2): 1}
+    res = Resolution(
+        [[Face((), unit)], rows, cols],
+        [
+            None,
+            DifferentialMatrix({}),
+            DifferentialMatrix({k: Entry(x, unit) for k, x in d2.items()}),
+        ],
+        [],
+    )
+    with fill_in_checked_against_reference() as steps:
+        out = standard_cancellation(res, 2, rows[0], cols[0])
+    assert steps == ["change_of_basis", "cancel"]
+    assert [e.pivot_scalar for e in out.trail] == [Fraction(pivot)]
+    assert type(out.trail[0].pivot_scalar) is Fraction
+    scalars = {
+        (out.modules[1][ri].members, out.modules[2][ci].members): e.scalar
+        for (ri, ci), e in out.diffs[2].entries.items()
+    }
+    assert scalars == {
+        ((1,), (0, 2)): Fraction(-3, pivot),
+        ((1,), (1, 2)): 1 - Fraction(1, pivot),
+    }
+    assert all(type(x) is Fraction for x in scalars.values())
 
 
 # --- standard change of basis ---------------------------------------------------

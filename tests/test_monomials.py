@@ -254,3 +254,7 @@ def test_entry_rejects_zero_and_wraps_scalars():
     assert type(two.scalar) is Fraction and two.scalar == Fraction(2)
     half = Fraction(1, 2)
     assert Entry(half, mono).scalar is half
+    # Only exact scalars: a float would be rounded, a str parsed, a bool read as 1.
+    for inexact in (0.1, 0.5, 2.0, "1/3", "2", True, False, None):
+        with pytest.raises(IdealError, match="ints or Fractions"):
+            Entry(inexact, mono)

@@ -10,6 +10,7 @@ from monores.cancellation import find_invertible_entries
 from monores.dominance import classify
 from monores.monomials import CapExceededError, Monomial, MonomialIdeal, VariableSet
 from monores.taylor import (
+    Entry,
     Face,
     TAYLOR_MAX_GENERATORS,
     build_taylor,
@@ -224,6 +225,29 @@ def test_facet_multidegrees_divide(ideal):
             assert row.mdeg.divides(col.mdeg)
             assert entry.monomial == col.mdeg.exact_div(row.mdeg)
             assert entry.scalar in (Fraction(1), Fraction(-1))
+
+
+@settings(max_examples=40)
+@given(ideals())
+def test_taylor_entries_cache_invertibility_and_are_shared(ideal):
+    # build_taylor skips Entry validation and hands one Entry to every
+    # position with the same sign and quotient.
+    entries = [e for d in build_taylor(ideal).diffs[1:] for e in d.entries.values()]
+    for entry in entries:
+        assert type(entry.scalar) is Fraction
+        assert entry.is_invertible == entry.monomial.is_unit
+    assert len({id(e) for e in entries}) == len(set(entries))
+
+
+def test_entry_invertibility_is_outside_eq_hash_and_repr():
+    vars = VariableSet(("x", "y"))
+    unit, x = vars.unit(), vars.monomial((1, 0))
+    assert Entry(1, unit).is_invertible and not Entry(-1, x).is_invertible
+    entry = Entry(Fraction(-1), x)
+    flipped = Entry(Fraction(-1), x)
+    object.__setattr__(flipped, "is_invertible", True)
+    assert flipped == entry and hash(flipped) == hash(entry)
+    assert repr(flipped) == repr(entry) and "is_invertible" not in repr(entry)
 
 
 @settings(max_examples=40)
