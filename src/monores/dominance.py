@@ -22,9 +22,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 from typing import Sequence
 
-from .monomials import IdealError, Monomial, MonomialIdeal, random_ideal
+from .monomials import (
+    IdealError,
+    Monomial,
+    MonomialIdeal,
+    VariableSet,
+    random_ideal,
+    variable_names,
+)
 
 # Draws random_ideal_of_class makes before giving up on a class.
 _CLASS_ATTEMPTS = 5000
@@ -192,6 +201,11 @@ def random_ideal_of_class(
             f"impossible request: a {cls} ideal over {n_vars} variables has"
             f" {least} to {n_vars + want_p} generators"
         )
+    if max_exp == 1 and not _squarefree_class_exists(n_vars, n_gens, want_p):
+        raise IdealError(
+            f"impossible request: no {cls} ideal has {n_gens} squarefree"
+            f" generators over {n_vars} variables"
+        )
     for _attempt in range(_CLASS_ATTEMPTS):
         ideal = random_ideal(rng, n_vars, n_gens, max_exp)
         if classify(ideal).p == want_p:
@@ -200,3 +214,32 @@ def random_ideal_of_class(
         f"no {cls} ideal found in {_CLASS_ATTEMPTS} attempts"
         f" (vars={n_vars}, gens={n_gens}, max_exp={max_exp})"
     )
+
+
+def _squarefree_class_exists(n_vars: int, n_gens: int, p: int) -> bool:
+    """Whether some squarefree ideal has n_gens generators, p nondominant;
+    True where that is not cheap to decide.
+
+    With p >= 1 and n_gens - p = n_vars, each dominant generator owns a
+    variable that no other generator uses, so all n_vars are owned and a
+    nondominant generator would be the unit. Otherwise, when there are at
+    most _CLASS_ATTEMPTS sets of n_gens squarefree monomials, their
+    antichains are classified until one has p: never more `classify`
+    calls than the draws this saves. No rng is used, so a feasible
+    request draws the same ideal as without the check.
+    """
+    if p and n_gens - p == n_vars:
+        return False
+    if comb((1 << n_vars) - 1, n_gens) > _CLASS_ATTEMPTS:
+        return True
+    vars = VariableSet(variable_names(n_vars))
+    for masks in combinations(range(1, 1 << n_vars), n_gens):
+        if any(a & b in (a, b) for a, b in combinations(masks, 2)):
+            continue
+        gens = tuple(
+            Monomial(vars, tuple(mask >> v & 1 for v in range(n_vars)))
+            for mask in masks
+        )
+        if classify(MonomialIdeal(vars, gens)).p == p:
+            return True
+    return False

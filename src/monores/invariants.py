@@ -26,7 +26,7 @@ from .taylor import (
     build_taylor,
     strip_trailing_zeros,
 )
-from .verify import OracleDisagreementError, minimality_check
+from .verify import OracleDisagreementError, betti_oracle, minimality_check
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,7 @@ def is_scarf(ideal: MonomialIdeal) -> bool:
     Total over every ideal the Taylor cap admits; the closed-form parity
     and divisibility criteria below cover only small nondominant counts.
     """
-    minimal = minimize_generic(build_taylor(ideal))
-    return strip_trailing_zeros(minimal.ranks()) == scarf_face_counts(ideal)
+    return betti_oracle(ideal) == scarf_face_counts(ideal)
 
 
 def betti_dominant(ideal: MonomialIdeal) -> InvariantsReport:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import I, ideals, random_minimal_ideal
 from monores.cancellation import (
+    Deterministic,
     Scripted,
     SeededRandom,
     _Work,
@@ -760,6 +761,33 @@ def test_minimize_generic_reaches_minimal_complex(ideal):
     assert find_invertible_entries(minimal) == []
     assert compose_check(minimal)
     assert entry_invariants_hold(minimal)
+
+
+def test_minimize_generic_cancels_in_increasing_key_order(rng):
+    # Each pivot is the least (degree, column members, row members) key.
+    # Fill-in only makes (c, d) invertible when (row, d) already is, so d
+    # comes after the pivot's column; the other degrees only lose
+    # entries. Later pivots therefore have larger keys, and one ordered
+    # sweep over the columns would find them all. Face/facet elimination
+    # (Deterministic) has no such order, so it only supplies prefixes.
+    ideals = [random_minimal_ideal(random.Random(10), 4, 10, 4)]
+    for _ in range(30):
+        n_vars = rng.randint(3, 5)
+        ideals.append(
+            random_minimal_ideal(rng, n_vars, rng.randint(2, 7), rng.randint(2, 4))
+        )
+    cancellations = []
+    for M in ideals:
+        taylor = build_taylor(M)
+        facet_trail = eliminate_face_facet_pairs(taylor, Deterministic()).resolution.trail
+        half = [(e.sigma.members, e.tau.members) for e in facet_trail[: len(facet_trail) // 2]]
+        prefixed = eliminate_face_facet_pairs(taylor, Scripted(half)).resolution
+        for start in (taylor, prefixed):
+            trail = minimize_generic(start).trail[len(start.trail):]
+            keys = [(e.sigma.hdeg, e.sigma.members, e.tau.members) for e in trail]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            cancellations.append(len(keys))
+    assert cancellations[:2] == [493, 247]
 
 
 @settings(max_examples=25, deadline=None)

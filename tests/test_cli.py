@@ -293,6 +293,41 @@ def test_random_class_rejects_two_generators_before_drawing(cls, n_gens):
     assert rng.getstate() == state
 
 
+@pytest.mark.parametrize("n_vars, n_gens", [(3, 3), (4, 6)])
+def test_random_class_refuses_squarefree_requests_before_drawing(
+    monkeypatch, capsys, n_vars, n_gens
+):
+    # No squarefree ideal of this shape is 2-semidominant; without the
+    # check the sampler spent all its draws before failing.
+    import monores.dominance as dominance
+
+    def no_draws(*args):
+        raise AssertionError("drew an ideal for an impossible request")
+
+    monkeypatch.setattr(dominance, "random_ideal", no_draws)
+    argv = ["random", "--vars", str(n_vars), "--gens", str(n_gens),
+            "--class", "semi2", "--max-exp", "1"]
+    assert main(argv) == 1
+    assert "impossible request" in capsys.readouterr().err
+
+
+def test_random_class_squarefree_check_takes_many_variables(capsys):
+    # 2^70 - 1 squarefree candidates are too many to enumerate, so it draws.
+    argv = ["random", "--vars", "70", "--gens", "2", "--class", "dominant", "--max-exp", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count(", ") == 1
+
+
+def test_random_class_feasible_squarefree_request_draws_as_before(capsys):
+    rng = random.Random(0)
+    while classify(expected := random_ideal(rng, 4, 3, 1)).p != 2:
+        pass
+    argv = ["random", "--vars", "4", "--gens", "3", "--class", "semi2", "--max-exp", "1"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == f"{expected}\n" == "x*w, x*y*z, y*w\n"
+
+
 @pytest.mark.parametrize("count", ["-3", "0"])
 def test_random_command_rejects_counts_below_one(capsys, count):
     assert main(["random", "--vars", "2", "--gens", "2", "--count", count]) == 1

@@ -64,6 +64,18 @@ def test_is_scarf_examples():
     assert not is_scarf(I("x^2y^2, xz, yz"))
 
 
+def test_is_scarf_neither_builds_nor_cancels_taylor(monkeypatch):
+    import monores.invariants as invariants
+
+    def refuse(*args):
+        raise AssertionError("is_scarf built or minimized a Taylor complex")
+
+    monkeypatch.setattr(invariants, "build_taylor", refuse)
+    monkeypatch.setattr(invariants, "minimize_generic", refuse)
+    assert is_scarf(I("x^3y, y^2z, yz^4, xz^2, x^2z"))
+    assert not is_scarf(I("x^2y^2, xz, yz"))
+
+
 def test_dominant_and_semidominant_are_scarf():
     assert is_scarf(I("x^2, x*z, y^3"))
     assert is_scarf(I("x^3y, y^2z, xz^2, xyz"))

@@ -27,5 +27,5 @@ def test_readme_quick_tour_prints_its_comments():
     printed = out.getvalue().splitlines()
     assert len(printed) == len(expected) == 4
     for got, comment in zip(printed, expected):
-        # A comment may go on after the value, as in "(1, 4, 3), self-checked".
+        # A comment may go on after the value, as in "(1, 4, 3), read off ...".
         assert comment == got or comment.startswith(got + ","), (got, comment)

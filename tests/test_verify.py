@@ -4,9 +4,9 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import I, ideals
+from conftest import I, ideals, random_minimal_ideal
 from monores.cancellation import (
     Deterministic,
     SeededRandom,
@@ -16,7 +16,8 @@ from monores.cancellation import (
     standard_cancellation,
     standard_change_of_basis,
 )
-from monores.monomials import MAX_EXPONENT, Monomial
+from monores.dominance import random_ideal_of_class
+from monores.monomials import MAX_EXPONENT, CapExceededError, Monomial
 from monores.taylor import (
     DifferentialMatrix,
     Entry,
@@ -26,9 +27,9 @@ from monores.taylor import (
     lcm_lattice,
 )
 from monores.verify import (
-    OracleDisagreementError,
     StrandReport,
     _StrandIndex,
+    _betti_by_lcm,
     betti_oracle,
     compose_check,
     matrix_rank_exact,
@@ -427,6 +428,13 @@ def random_minimal_tiny(rng):
     return random_ideal(rng, rng.randint(2, 3), rng.randint(1, 4), 3)
 
 
+def test_exhaustive_strand_mode_refuses_past_its_cap():
+    # 101^3 multidegrees lie below x^100 y^100 z^100.
+    M = I("x^100, y^100, z^100")
+    with pytest.raises(CapExceededError, match="would visit 1030301 multidegrees"):
+        strand_exactness(build_taylor(M), M, exhaustive=True)
+
+
 def test_exhaustive_mode_covers_the_unit_degree():
     M = I("x^2, y^2")
     reports = strand_exactness(build_taylor(M), M, exhaustive=True)
@@ -665,24 +673,51 @@ def test_betti_oracle_examples():
     assert betti_oracle(I("xy, xz, yz")) == (1, 3, 2)
 
 
-@pytest.mark.parametrize(
-    "text, mutate, message",
-    [
-        # A non-dominant ideal's Taylor complex is not minimal.
-        ("x^2, x*y, y^3", lambda res: res, "left an invertible entry"),
-        # A dominant ideal's Taylor complex is minimal, with a nonempty top.
-        ("x^2, x*z, y^3", flip_one_sign, "is not a complex"),
-        ("x^2, x*z, y^3", delete_top_face, "has an inexact strand"),
-    ],
-)
-def test_betti_oracle_rejects_a_broken_minimization(monkeypatch, text, mutate, message):
+def betti_by_multidegree(res, q):
+    """Surviving faces of a resolution counted per (multidegree, degree)."""
+    counts = {}
+    for face in res.iter_faces():
+        counts.setdefault(face.mdeg.exponents, [0] * (q + 1))[face.hdeg] += 1
+    return counts
+
+
+@st.composite
+def ideals_of_every_class(draw):
+    cls = draw(st.sampled_from(["dominant", "semi1", "semi2", "any"]))
+    if cls == "any":
+        return draw(ideals(max_vars=5, max_gens=7))
+    p = {"dominant": 0, "semi1": 1, "semi2": 2}[cls]
+    n_vars = draw(st.integers(3, 5))
+    n_gens = draw(st.integers(3 if p else 1, min(n_vars + p, 7)))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    return random_ideal_of_class(rng, n_vars, n_gens, 3, cls)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ideals_of_every_class())
+@example(random_minimal_ideal(random.Random(10), 4, 10, 4))  # 493 cancellations
+def test_betti_by_lcm_matches_minimize_generic_per_multidegree(ideal):
+    by_lcm = {m: betti for m, betti in _betti_by_lcm(ideal).items() if any(betti)}
+    minimal = minimize_generic(build_taylor(ideal))
+    assert by_lcm == betti_by_multidegree(minimal, len(ideal))
+
+
+def test_betti_oracle_sees_a_dropped_face(monkeypatch):
+    # Negative control: without the face {0, 1, 2}, the lcm class of
+    # x^2y^3 keeps {0, 2} alone, which then reads as one more β_2.
     import monores.verify as verify
 
-    M = I(text)
-    broken = mutate(build_taylor(M))
-    monkeypatch.setattr(verify, "minimize_generic", lambda res: broken)
-    with pytest.raises(OracleDisagreementError, match=message):
-        betti_oracle(M)
+    subsets_by_lcm = verify._subsets_by_lcm
+
+    def drop_one_face(ideal):
+        mdegs, classes = subsets_by_lcm(ideal)
+        next(masks for masks in classes if len(masks) > 1).pop()
+        return mdegs, classes
+
+    M = I("x^2, x*y, y^3")
+    assert betti_oracle(M) == (1, 3, 2)
+    monkeypatch.setattr(verify, "_subsets_by_lcm", drop_one_face)
+    assert betti_oracle(M) != (1, 3, 2)
 
 
 @settings(max_examples=20, deadline=None)
