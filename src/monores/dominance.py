@@ -206,6 +206,13 @@ def random_ideal_of_class(
             f"impossible request: no {cls} ideal has {n_gens} squarefree"
             f" generators over {n_vars} variables"
         )
+    # in two variables only the generators with the largest x and with the
+    # largest y exponent are dominant, so every q >= 2 has p = q - 2
+    if n_vars == 2 and n_gens >= 2 and want_p != n_gens - 2:
+        raise IdealError(
+            f"impossible request: a {cls} ideal over 2 variables has"
+            f" {want_p + 2} generators"
+        )
     for _attempt in range(_CLASS_ATTEMPTS):
         ideal = random_ideal(rng, n_vars, n_gens, max_exp)
         if classify(ideal).p == want_p:

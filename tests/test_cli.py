@@ -311,6 +311,40 @@ def test_random_class_refuses_squarefree_requests_before_drawing(
     assert "impossible request" in capsys.readouterr().err
 
 
+def test_random_class_refuses_two_variable_requests_before_drawing(monkeypatch, capsys):
+    # In two variables only the end generators of the antichain are
+    # dominant, so three generators are never 2-semidominant, whatever
+    # the exponents; without the check the sampler spent all its draws.
+    import monores.dominance as dominance
+
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(IdealError, match="impossible request"):
+        random_ideal_of_class(rng, 2, 3, 3, "semi2")
+    assert rng.getstate() == state
+
+    def no_draws(*args):
+        raise AssertionError("drew an ideal for an impossible request")
+
+    monkeypatch.setattr(dominance, "random_ideal", no_draws)
+    argv = ["random", "--vars", "2", "--gens", "3", "--class", "semi2", "--max-exp", "3"]
+    assert main(argv) == 1
+    assert "impossible request" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "n_gens, cls, expected",
+    [("4", "semi2", "y^3, x^2*y, x*y^2, x^3"), ("3", "semi1", "x^3, x^2*y^2, x*y^3")],
+)
+def test_random_class_feasible_two_variable_requests_draw_as_before(
+    capsys, n_gens, cls, expected
+):
+    argv = ["random", "--vars", "2", "--gens", n_gens, "--class", cls,
+            "--max-exp", "3", "--seed", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"{expected}\n"
+
+
 def test_random_class_squarefree_check_takes_many_variables(capsys):
     # 2^70 - 1 squarefree candidates are too many to enumerate, so it draws.
     argv = ["random", "--vars", "70", "--gens", "2", "--class", "dominant", "--max-exp", "1"]

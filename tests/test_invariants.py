@@ -3,9 +3,9 @@ from dataclasses import replace
 from math import comb
 
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
-from conftest import I, ideals
+from conftest import I, ideals, ideals_of_every_class, random_minimal_ideal
 from monores.cancellation import check_theorem71_hypothesis, minimize_generic
 from monores.dominance import classify
 from monores.invariants import (
@@ -65,15 +65,21 @@ def test_is_scarf_examples():
 
 
 def test_is_scarf_neither_builds_nor_cancels_taylor(monkeypatch):
-    import monores.invariants as invariants
+    # Every Taylor differential is a DifferentialMatrix, and every
+    # cancellation runs on a _Work copy: neither may be made.
+    import monores.cancellation as cancellation
+    import monores.taylor as taylor
 
-    def refuse(*args):
-        raise AssertionError("is_scarf built or minimized a Taylor complex")
+    def refuse(*args, **kwargs):
+        raise AssertionError("built or minimized a Taylor complex")
 
-    monkeypatch.setattr(invariants, "build_taylor", refuse)
-    monkeypatch.setattr(invariants, "minimize_generic", refuse)
+    monkeypatch.setattr(taylor.DifferentialMatrix, "__init__", refuse)
+    monkeypatch.setattr(cancellation._Work, "__init__", refuse)
     assert is_scarf(I("x^3y, y^2z, yz^4, xz^2, x^2z"))
     assert not is_scarf(I("x^2y^2, xz, yz"))
+    semidominant = invariants_with_cross_check(I("x^3y, y^2z, xz^2, xyz"))
+    assert semidominant["derived"].betti == (1, 4, 3)
+    assert invariants_with_cross_check(I("xy, yz, xz"))["derived"].reg == 1
 
 
 def test_dominant_and_semidominant_are_scarf():
@@ -178,6 +184,36 @@ def test_cross_check_can_fail(monkeypatch):
     monkeypatch.setattr(invariants, "_closed_form", reg_one_too_high)
     with pytest.raises(OracleDisagreementError, match="disagree with resolution"):
         invariants_with_cross_check(I("x^3y, y^2z, xz^2, xyz"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ideals_of_every_class())
+@example(random_minimal_ideal(random.Random(10), 4, 10, 4))  # 493 cancellations
+def test_cross_check_matches_the_minimized_taylor_resolution(ideal):
+    # Betti numbers, pd, reg and the "minimal-resolution" source tags.
+    reference = invariants_from_resolution(minimize_generic(build_taylor(ideal)))
+    assert invariants_with_cross_check(ideal)["derived"] == reference
+
+
+def test_cross_check_sees_a_betti_number_moved_up_a_degree(monkeypatch):
+    # Negative control: one generator's class reads its β_1 as a β_2, which
+    # must no longer match the semidominant closed form.
+    import monores.invariants as invariants
+
+    real = invariants._betti_by_lcm
+
+    def move_one_up(ideal):
+        by_lcm = real(ideal)
+        betti = next(b for b in by_lcm.values() if b[1])
+        betti[1] -= 1
+        betti[2] += 1
+        return by_lcm
+
+    M = I("x^3y, y^2z, xz^2, xyz")
+    assert invariants_with_cross_check(M)["derived"].betti == (1, 4, 3)
+    monkeypatch.setattr(invariants, "_betti_by_lcm", move_one_up)
+    with pytest.raises(OracleDisagreementError, match="disagree with resolution"):
+        invariants_with_cross_check(M)
 
 
 # --- pd = 2 test -------------------------------------------------------------------------

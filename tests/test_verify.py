@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import I, ideals, random_minimal_ideal
+from conftest import I, ideals, ideals_of_every_class, random_minimal_ideal
 from monores.cancellation import (
     Deterministic,
     SeededRandom,
@@ -16,7 +16,6 @@ from monores.cancellation import (
     standard_cancellation,
     standard_change_of_basis,
 )
-from monores.dominance import random_ideal_of_class
 from monores.monomials import MAX_EXPONENT, CapExceededError, Monomial
 from monores.taylor import (
     DifferentialMatrix,
@@ -679,18 +678,6 @@ def betti_by_multidegree(res, q):
     for face in res.iter_faces():
         counts.setdefault(face.mdeg.exponents, [0] * (q + 1))[face.hdeg] += 1
     return counts
-
-
-@st.composite
-def ideals_of_every_class(draw):
-    cls = draw(st.sampled_from(["dominant", "semi1", "semi2", "any"]))
-    if cls == "any":
-        return draw(ideals(max_vars=5, max_gens=7))
-    p = {"dominant": 0, "semi1": 1, "semi2": 2}[cls]
-    n_vars = draw(st.integers(3, 5))
-    n_gens = draw(st.integers(3 if p else 1, min(n_vars + p, 7)))
-    rng = random.Random(draw(st.integers(0, 2**16)))
-    return random_ideal_of_class(rng, n_vars, n_gens, 3, cls)
 
 
 @settings(max_examples=200, deadline=None)
