@@ -56,9 +56,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from operator import sub
 from typing import Iterator
 
@@ -493,27 +494,24 @@ class Theorem71Report:
 
 
 def check_theorem71_hypothesis(ideal: MonomialIdeal) -> Theorem71Report:
+    """Each violation (tau, sigma, other) holds faces of one lcm: tau and other
+    are facets of sigma, and tau is also a facet of a second face of that lcm."""
     mdegs, classes = _subsets_by_lcm(ideal)
-    violations: set[tuple[int, int, int]] = set()
-    for masks in classes:
-        if len(masks) < 3:
-            continue
-        mask_set = set(masks)
-        for tau_mask in masks:
-            size = tau_mask.bit_count()
-            supersets = [
-                m
-                for m in masks
-                if m.bit_count() == size + 1 and (m & tau_mask) == tau_mask
-            ]
-            if len(supersets) < 2:
-                continue
-            for sigma_mask in supersets:
-                for bit in _bits(sigma_mask):
-                    other_facet = sigma_mask & ~(1 << bit)
-                    if other_facet != tau_mask and other_facet in mask_set:
-                        violations.add((tau_mask, sigma_mask, other_facet))
-    witnesses = [tuple(_face_from_mask(m, mdegs) for m in t) for t in violations]
-    ordered = tuple(sorted(witnesses, key=lambda t: tuple(f.sort_key() for f in t)))
-    return Theorem71Report(not ordered, ordered)
-
+    triples = []
+    for masks in (c for c in classes if len(c) >= 3):
+        same = set(masks)
+        facets = {s: [f for b in _bits(s) if (f := s ^ 1 << b) in same] for s in masks}
+        cofaces = Counter(chain.from_iterable(facets.values()))
+        triples += [
+            (tau, sigma, other)
+            for sigma, fs in facets.items()
+            for tau in fs
+            if cofaces[tau] >= 2
+            for other in fs
+            if other != tau
+        ]
+    faces = {m: _face_from_mask(m, mdegs) for m in set(chain.from_iterable(triples))}
+    keys = {m: face.sort_key() for m, face in faces.items()}
+    triples.sort(key=lambda t: (keys[t[0]], keys[t[1]], keys[t[2]]))
+    witnesses = tuple(tuple(faces[m] for m in t) for t in triples)
+    return Theorem71Report(not witnesses, witnesses)

@@ -383,7 +383,8 @@ def random_ideal(
 
     Each monomial draws exponents uniformly from [0, max_exp]; the unit
     monomial and any monomial comparable under divisibility with an
-    already-drawn one are rejected and redrawn.
+    already-drawn one are rejected and redrawn. Over two variables, a
+    request that rejection gives up on is drawn as an antichain directly.
     """
     if n_vars < 1 or n_gens < 1:
         raise IdealError(
@@ -418,6 +419,11 @@ def random_ideal(
                 break
         if ok:
             return MonomialIdeal(vars, tuple(gens))
+    if n_vars == 2 and n_gens > 1:
+        # Rising x exponents paired with falling y exponents: an antichain.
+        xs = sorted(rng.sample(range(max_exp + 1), n_gens))
+        ys = sorted(rng.sample(range(max_exp + 1), n_gens), reverse=True)
+        return MonomialIdeal(vars, tuple(Monomial(vars, e) for e in zip(xs, ys)))
     raise IdealError(
         f"could not sample a minimal ideal with {n_gens} generators over"
         f" {n_vars} variables (max exponent {max_exp})"

@@ -282,15 +282,14 @@ def repeated_multidegree_classes(res: Resolution) -> dict[Monomial, list[Face]]:
 
     Keys are ordered by exponent vector, face lists by (degree, members).
     """
-    by_mdeg: dict[Monomial, list[Face]] = {}
+    by_exponents: dict[tuple[int, ...], list[Face]] = {}
     for face in res.iter_faces():
-        by_mdeg.setdefault(face.mdeg, []).append(face)
-    out: dict[Monomial, list[Face]] = {}
-    for mdeg in sorted(by_mdeg, key=lambda m: m.exponents):
-        faces = by_mdeg[mdeg]
-        if len(faces) >= 2:
-            out[mdeg] = sorted(faces, key=Face.sort_key)
-    return out
+        by_exponents.setdefault(face.mdeg.exponents, []).append(face)
+    return {
+        faces[0].mdeg: sorted(faces, key=Face.sort_key)
+        for _, faces in sorted(by_exponents.items())
+        if len(faces) >= 2
+    }
 
 
 @dataclass(frozen=True)

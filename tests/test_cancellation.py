@@ -1,13 +1,15 @@
 import random
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import I, ideals, random_minimal_ideal
+from conftest import I, ideals, ideals_of_every_class, random_minimal_ideal
+from monores import cancellation
 from monores.cancellation import (
     Deterministic,
     Scripted,
@@ -28,6 +30,9 @@ from monores.taylor import (
     Entry,
     Face,
     Resolution,
+    _bits,
+    _face_from_mask,
+    _subsets_by_lcm,
     build_taylor,
     repeated_multidegree_classes,
 )
@@ -911,6 +916,61 @@ def test_hypothesis_check_known_ideals():
 
 def test_hypothesis_check_dominant_vacuous():
     assert check_theorem71_hypothesis(I("x^2, x*z, y^3")).holds
+
+
+def reference_theorem71_violations(ideal):
+    """The pairwise check: for each mask tau of an lcm class, scan the whole
+    class for tau's cofaces, and when there are two or more, pair tau with
+    every other in-class facet of each coface. Triples sorted by faces."""
+    mdegs, classes = _subsets_by_lcm(ideal)
+    violations = set()
+    for masks in classes:
+        if len(masks) < 3:
+            continue
+        mask_set = set(masks)
+        for tau_mask in masks:
+            size = tau_mask.bit_count()
+            supersets = [
+                m
+                for m in masks
+                if m.bit_count() == size + 1 and (m & tau_mask) == tau_mask
+            ]
+            if len(supersets) < 2:
+                continue
+            for sigma_mask in supersets:
+                for bit in _bits(sigma_mask):
+                    other_facet = sigma_mask & ~(1 << bit)
+                    if other_facet != tau_mask and other_facet in mask_set:
+                        violations.add((tau_mask, sigma_mask, other_facet))
+    witnesses = [tuple(_face_from_mask(m, mdegs) for m in t) for t in violations]
+    return tuple(sorted(witnesses, key=lambda t: tuple(f.sort_key() for f in t)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ideals_of_every_class())
+@example(random_minimal_ideal(random.Random(10), 4, 10, 4))  # 10508 violations
+@example(I("x^2y^2z^2, xw^2, yw^2, zw"))
+def test_theorem71_check_matches_the_pairwise_scan(ideal):
+    report = check_theorem71_hypothesis(ideal)
+    violations = reference_theorem71_violations(ideal)
+    assert report.violations == violations
+    assert report.holds == (not violations)
+
+
+def test_theorem71_check_builds_each_witness_face_once(monkeypatch):
+    built = Counter()
+
+    def counted(mask, mdegs):
+        built[mask] += 1
+        return _face_from_mask(mask, mdegs)
+
+    ideal = random_minimal_ideal(random.Random(10), 4, 10, 4)
+    monkeypatch.setattr(cancellation, "_face_from_mask", counted)
+    report = check_theorem71_hypothesis(ideal)
+    witness_masks = {face.mask for triple in report.violations for face in triple}
+    assert len(report.violations) == 10508
+    assert set(built) <= witness_masks
+    assert max(built.values()) == 1
 
 
 def test_family_members_reach_minimal_ranks_in_any_order():

@@ -283,6 +283,13 @@ def test_random_ideal_reaches_the_largest_antichain():
     ]
 
 
+def test_random_ideal_draws_a_full_two_variable_antichain():
+    # Only the anti-diagonal has 10 pairwise incomparable points in
+    # [0, 9]^2, and rejection sampling almost never draws it.
+    ideal = random_ideal(random.Random(0), 2, 10, 9)
+    assert [g.exponents for g in ideal.generators] == [(i, 9 - i) for i in range(10)]
+
+
 @pytest.mark.parametrize("cls", ["semi1", "semi2"])
 @pytest.mark.parametrize("n_gens", [1, 2])
 def test_random_class_rejects_two_generators_before_drawing(cls, n_gens):
@@ -334,7 +341,12 @@ def test_random_class_refuses_two_variable_requests_before_drawing(monkeypatch, 
 
 @pytest.mark.parametrize(
     "n_gens, cls, expected",
-    [("4", "semi2", "y^3, x^2*y, x*y^2, x^3"), ("3", "semi1", "x^3, x^2*y^2, x*y^3")],
+    [
+        ("4", "semi2", "y^3, x^2*y, x*y^2, x^3"),
+        ("3", "semi1", "x^3, x^2*y^2, x*y^3"),
+        # the whole antichain, drawn by rejection, not by its fallback
+        ("4", "any", "y^3, x^2*y, x*y^2, x^3"),
+    ],
 )
 def test_random_class_feasible_two_variable_requests_draw_as_before(
     capsys, n_gens, cls, expected
