@@ -383,8 +383,8 @@ def random_ideal(
 
     Each monomial draws exponents uniformly from [0, max_exp]; the unit
     monomial and any monomial comparable under divisibility with an
-    already-drawn one are rejected and redrawn. Over two variables, a
-    request that rejection gives up on is drawn as an antichain directly.
+    already-drawn one are rejected and redrawn. A request that rejection
+    gives up on is drawn from the middle exponent-sum layer, an antichain.
     """
     if n_vars < 1 or n_gens < 1:
         raise IdealError(
@@ -419,15 +419,17 @@ def random_ideal(
                 break
         if ok:
             return MonomialIdeal(vars, tuple(gens))
-    if n_vars == 2 and n_gens > 1:
-        # Rising x exponents paired with falling y exponents: an antichain.
-        xs = sorted(rng.sample(range(max_exp + 1), n_gens))
-        ys = sorted(rng.sample(range(max_exp + 1), n_gens), reverse=True)
-        return MonomialIdeal(vars, tuple(Monomial(vars, e) for e in zip(xs, ys)))
-    raise IdealError(
-        f"could not sample a minimal ideal with {n_gens} generators over"
-        f" {n_vars} variables (max exponent {max_exp})"
-    )
+    # The middle exponent-sum layer is an antichain, the one that
+    # `_largest_antichain` counts, so it holds n_gens points; it leaves
+    # out the unit once n_vars * max_exp >= 2.
+    total = n_vars * max_exp // 2
+    points: set[tuple[int, ...]] = set()
+    while len(points) < n_gens:
+        head = [rng.randint(0, max_exp) for _ in range(n_vars - 1)]
+        last = total - sum(head)
+        if 0 <= last <= max_exp:
+            points.add((*head, last))
+    return MonomialIdeal(vars, tuple(Monomial(vars, e) for e in sorted(points)))
 
 
 def _largest_antichain(n_vars: int, max_exp: int) -> int:

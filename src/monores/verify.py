@@ -48,16 +48,19 @@ integers by the sparse fraction-free elimination that
 `matrix_rank_exact` uses. A certificate can only confirm exactness; an
 inexact strand is always reported from exact ranks.
 
-`compose_check` sums d∘d over Python ints as well. It keeps one sum per
-(row, column, monomial), so terms of different monomials never cancel.
-Each entry's monomial is packed into one int, with a field width taken
-from the largest exponent of any entry monomial and wide enough for the
-sum of two exponents, (2 * largest).bit_length() bits, so adding two
-packed monomials multiplies them without a carry between fields. Each
-differential's scalars are scaled by the lcm of that whole matrix's
-denominators: one constant per matrix scales every d∘d sum alike, while
-per-column constants on the lower matrix would reweight the terms of a
-sum against each other.
+`compose_check` sums d∘d over Python ints through the same product of
+two integer matrices, and with the same lcm scaling: one constant per
+matrix scales every d∘d sum alike, while per-column constants on the
+lower matrix would reweight the terms of a sum against each other. It
+keeps one sum per (row, column, monomial), so terms of different
+monomials never cancel. A row key there is the row index shifted left
+by shift = width * (number of variables) bits, with the entry's monomial
+packed into the low shift bits, exponent i in bits [i*width,
+(i+1)*width). The field width, (2 * largest).bit_length() for the
+largest exponent of any entry monomial, holds the sum of two exponents,
+so a lower key plus an upper packed monomial multiplies the monomials
+with no carry between fields or into the row index. The strand index
+passes shift = 0: its row keys are the row indices.
 """
 
 from __future__ import annotations
@@ -65,9 +68,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 from math import gcd, lcm
-from operator import or_
+from operator import add, or_
 from typing import Iterable, Sequence
 
 from .monomials import CapExceededError, Monomial, MonomialIdeal
@@ -99,7 +102,7 @@ def matrix_rank_exact(rows: Sequence[Sequence[Fraction | int]]) -> int:
 def _integer_columns(
     entries: dict[tuple[int, int], Fraction | int]
 ) -> dict[int, dict[int, int]]:
-    """A sparse rational matrix, keyed (row, column), as integer columns.
+    """A sparse rational matrix, keyed (row key, column), as integer columns.
 
     Every entry is multiplied by one constant, the lcm of all the
     denominators. That keeps the rank, keeps a zero product of two
@@ -158,54 +161,31 @@ def _sparse_rank(columns: Iterable[dict[int, int]]) -> int:
 def compose_check(res: Resolution) -> bool:
     """Exact symbolic check that consecutive differentials compose to zero.
 
-    Contributions are accumulated per (row, column, monomial) so that a
-    corrupted complex cannot pass by accidental cross-monomial mixing.
-    The sums run over Python ints. Monomials are packed with fields of
-    (2 * largest).bit_length() bits, largest taken over the entry
+    Each entry is keyed (row << shift) | packed monomial, with fields
+    (2 * largest).bit_length() bits wide, largest taken over the entry
     monomials (never the faces: a corrupted complex can carry any
-    monomial), so packed(a) + packed(b) is packed(a * b) with no carry.
-    Scalars are scaled by one lcm of denominators per matrix, which
-    multiplies every d∘d sum of a degree by the same nonzero constant;
-    per-column scaling would reweight the lower matrix's terms of one sum
-    against each other.
+    monomial), and shift = width * (number of variables). So the sums run
+    per (row, column, monomial), and a corrupted complex cannot pass by
+    accidental cross-monomial mixing.
     """
-    largest = max(
-        (
-            e
-            for matrix in res.diffs[1:]
-            for entry in matrix.entries.values()
-            for e in entry.monomial.exponents
-        ),
-        default=0,
+    exponents = [
+        entry.monomial.exponents
+        for matrix in res.diffs[1:]
+        for entry in matrix.entries.values()
+    ]
+    width = max(1, (2 * max(chain.from_iterable(exponents), default=0)).bit_length())
+    shift = width * max(map(len, exponents), default=0)
+    columns: list[dict[int, dict[int, int]]] = [{}]
+    columns += (
+        _integer_columns(
+            {
+                (ri << shift | _pack(e.monomial.exponents, width), ci): e.scalar
+                for (ri, ci), e in matrix.entries.items()
+            }
+        )
+        for matrix in res.diffs[1:]
     )
-    width = max(1, (2 * largest).bit_length())
-    # Per differential: column index -> [(row index, packed monomial, scalar)].
-    by_col: list[dict[int, list[tuple[int, int, int]]]] = [{}]
-    for matrix in res.diffs[1:]:
-        assert matrix is not None
-        scale = lcm(*(entry.scalar.denominator for entry in matrix.entries.values()))
-        columns: dict[int, list[tuple[int, int, int]]] = {}
-        for (ri, ci), entry in matrix.entries.items():
-            x = entry.scalar
-            columns.setdefault(ci, []).append(
-                (
-                    ri,
-                    _pack(entry.monomial.exponents, width),
-                    x.numerator * (scale // x.denominator),
-                )
-            )
-        by_col.append(columns)
-    for degree in range(1, res.top):
-        lower = by_col[degree]
-        for ci, column in by_col[degree + 1].items():
-            sums: dict[tuple[int, int], int] = {}
-            for mid, p_upper, x_upper in column:
-                for ri, p_lower, x_lower in lower.get(mid, ()):
-                    key = (ri, p_lower + p_upper)
-                    sums[key] = sums.get(key, 0) + x_lower * x_upper
-            if any(sums.values()):
-                return False
-    return True
+    return _composes_to_zero(columns, shift)
 
 
 def _pack(exponents: Sequence[int], width: int) -> int:
@@ -275,7 +255,7 @@ class _StrandIndex:
                 _integer_columns({k: e.scalar for k, e in matrix.entries.items()})
             )
         self.certifiable = self._rows_divide_columns(res) and _composes_to_zero(
-            self.columns
+            self.columns, 0
         )
         # Per differential and column index: the rows of the odd entries,
         # read only by the certificate.
@@ -311,39 +291,18 @@ class _StrandIndex:
             for offset, size in zip(self.offsets, self.sizes)
         ]
         covered = divisors >> self.offsets[-1] != 0
-        top = len(present) - 1
         dims = [mask.bit_count() for mask in present]
-        ranks = [0] * (top + 1)
-        ranks[0] = 0 if covered else 1
-        if covered and self.certifiable and self._certify(present, dims, ranks):
-            return StrandReport(b, tuple(dims), tuple(ranks), True, None)
-        for degree in range(1, top + 1):
-            ranks[degree] = self._exact_rank(present, degree)
-
-        exact = True
-        failure = None
-        for degree in range(top + 1):
-            above = ranks[degree + 1] if degree + 1 <= top else 0
-            if dims[degree] != ranks[degree] + above:
-                exact = False
-                failure = degree
-                break
-        return StrandReport(b, tuple(dims), tuple(ranks), exact, failure)
-
-    def _certify(self, present: list[int], dims: list[int], ranks: list[int]) -> bool:
-        """Whether the GF(2) ranks meet the exactness equations; if they
-        do, ranks[1:] holds them.
-
-        Top degree first, so that the first unmet equation stops the work.
-        """
-        above = 0
-        for degree in range(len(present) - 1, 0, -1):
-            odd = self.odd[degree]
-            rank = _gf2_rank([odd[ci] for ci in _bits(present[degree])])
-            if dims[degree] != rank + above:
-                return False
-            ranks[degree] = above = rank
-        return dims[0] == ranks[0] + above
+        ranks = [0 if covered else 1]
+        if covered and self.certifiable:
+            gf2 = ranks + [
+                _gf2_rank([odd[ci] for ci in _bits(mask)])
+                for odd, mask in zip(self.odd[1:], present[1:])
+            ]
+            if _unmet_degree(dims, gf2) is None:
+                return StrandReport(b, tuple(dims), tuple(gf2), True, None)
+        ranks += [self._exact_rank(present, j) for j in range(1, len(present))]
+        failure = _unmet_degree(dims, ranks)
+        return StrandReport(b, tuple(dims), tuple(ranks), failure is None, failure)
 
     def _exact_rank(self, present: list[int], degree: int) -> int:
         if not present[degree - 1] or not present[degree]:
@@ -357,14 +316,32 @@ class _StrandIndex:
         )
 
 
-def _composes_to_zero(columns: Sequence[dict[int, dict[int, int]]]) -> bool:
-    """Whether each integer matrix, given by sparse columns, times the next
-    one is the zero matrix."""
+def _unmet_degree(dims: list[int], ranks: list[int]) -> int | None:
+    """The first degree j with dims[j] != ranks[j] + ranks[j+1], ranks
+    past the top read as 0; None when the strand is exact."""
+    sums = list(map(add, ranks, [*ranks[1:], 0]))
+    if sums == dims:
+        return None
+    return next(j for j, (dim, total) in enumerate(zip(dims, sums)) if dim != total)
+
+
+def _composes_to_zero(columns: Sequence[dict[int, dict[int, int]]], shift: int) -> bool:
+    """Whether each integer matrix, given by sparse columns of row keys,
+    times the next one is the zero matrix.
+
+    A row key is a row index shifted left by `shift`, with a packed
+    monomial in the low `shift` bits. A term is keyed by the lower
+    entry's key plus the upper entry's packed monomial, and the upper
+    key's row index names the lower column.
+    """
+    low = (1 << shift) - 1
     for lower, upper in zip(columns[1:], columns[2:]):
         for column in upper.values():
             sums: dict[int, int] = {}
-            for mid, y in column.items():
-                for r, x in lower.get(mid, {}).items():
+            for key, y in column.items():
+                packed = key & low
+                for r, x in lower.get(key >> shift, {}).items():
+                    r += packed
                     sums[r] = sums.get(r, 0) + x * y
             if any(sums.values()):
                 return False

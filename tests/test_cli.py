@@ -290,6 +290,25 @@ def test_random_ideal_draws_a_full_two_variable_antichain():
     assert [g.exponents for g in ideal.generators] == [(i, 9 - i) for i in range(10)]
 
 
+def test_random_ideal_draws_the_largest_three_variable_antichain():
+    # 37 is the largest antichain in [0, 6]^3, the points of exponent sum
+    # 9; rejection gives up on it and the fallback draws that layer.
+    ideal = random_ideal(random.Random(0), 3, 37, 6)
+    assert [g.exponents for g in ideal.generators] == [
+        e for e in product(range(7), repeat=3) if sum(e) == 9
+    ]
+
+
+def test_random_three_variable_request_that_rejection_answers_draws_as_before(capsys):
+    argv = ["random", "--vars", "3", "--gens", "20", "--max-exp", "6", "--seed", "0"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "x^2*y^3*z^3, x*y^5*z^3, x^3*y^3, x^6*y*z^2, x^2*y*z^4, x^4*y^2*z, z^6,"
+        " y^6*z^4, x^2*y^5*z, x*y^6*z^2, x^6*z^3, x^3*y^2*z^2, x^6*y^2, x^5*z^4,"
+        " x^4*y*z^3, x*y^4*z^4, x^2*y^6, x*y*z^5, x^2*y^4*z^2, x^4*z^5\n"
+    )
+
+
 @pytest.mark.parametrize("cls", ["semi1", "semi2"])
 @pytest.mark.parametrize("n_gens", [1, 2])
 def test_random_class_rejects_two_generators_before_drawing(cls, n_gens):

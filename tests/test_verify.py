@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import I, ideals, ideals_of_every_class, random_minimal_ideal
+from monores import verify
 from monores.cancellation import (
     Deterministic,
     SeededRandom,
@@ -358,6 +359,40 @@ def test_compose_packing_leaves_room_for_the_carry(e):
     )
     assert not reference_compose_check(res)
     assert not compose_check(res)
+    # Two rows: d1 d2 = (y^(2e), -y^r). With y's field, the top one, only
+    # w bits wide, y^e * y^e would carry into the row index and pack like
+    # row 1's y^r, and row 0's term would cancel row 1's.
+    ye, yr, unit = vars.monomial((0, e)), vars.monomial((0, r)), vars.unit()
+    two_rows = Resolution(
+        [[Face((), unit)] * 2, res.modules[1], res.modules[2]],
+        [
+            None,
+            DifferentialMatrix({(0, 0): Entry(1, ye), (1, 1): Entry(1, yr)}),
+            DifferentialMatrix({(0, 0): Entry(1, ye), (1, 0): Entry(-1, unit)}),
+        ],
+        [],
+    )
+    assert not reference_compose_check(two_rows)
+    assert not compose_check(two_rows)
+
+
+def test_compose_and_strand_oracles_share_one_product(monkeypatch):
+    # compose_check keys rows with packed monomials below them (shift > 0);
+    # the strand index keys plain row indices (shift = 0).
+    shifts = []
+    composes_to_zero = verify._composes_to_zero
+
+    def recorded(columns, shift):
+        shifts.append(shift)
+        return composes_to_zero(columns, shift)
+
+    monkeypatch.setattr(verify, "_composes_to_zero", recorded)
+    M = I("x^2, x*y, y^3")
+    taylor = build_taylor(M)
+    assert compose_check(taylor)
+    assert len(shifts) == 1 and shifts[0] > 0
+    assert strands_all_exact(strand_exactness(taylor, M))
+    assert shifts[1:] == [0]
 
 
 def test_compose_matches_reference_at_the_exponent_cap():
