@@ -444,8 +444,8 @@ def minimize_generic(res: Resolution) -> Resolution:
 
     Each step removes one rank from two consecutive degrees, so the loop
     terminates; the result has no invertible entries and is therefore a
-    minimal resolution. The surviving (degree, multidegree) multiset is
-    the multigraded Betti data.
+    minimal resolution. Pivots are exact rationals, so the surviving
+    (degree, multidegree) multiset is the multigraded Betti data over Q.
     """
     work = _Work(res)
     while work.pivots:

@@ -22,21 +22,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 from typing import Sequence
 
-from .monomials import (
-    IdealError,
-    Monomial,
-    MonomialIdeal,
-    VariableSet,
-    random_ideal,
-    variable_names,
-)
+from .monomials import IdealError, Monomial, MonomialIdeal, random_ideal
 
-# Draws random_ideal_of_class makes before giving up on a class.
+# A draw compares about n_vars * n_gens^2 exponents, so random_ideal_of_class
+# makes at most _CLASS_ATTEMPTS draws and at most _CLASS_WORK compares.
 _CLASS_ATTEMPTS = 5000
+_CLASS_WORK = 10**7
 
 
 @dataclass(frozen=True)
@@ -201,7 +194,12 @@ def random_ideal_of_class(
             f"impossible request: a {cls} ideal over {n_vars} variables has"
             f" {least} to {n_vars + want_p} generators"
         )
-    if max_exp == 1 and not _squarefree_class_exists(n_vars, n_gens, want_p):
+    # A squarefree dominant generator owns a variable no other generator
+    # uses, so the p nondominant ones live on at most n - (q - p) unowned
+    # variables: p = 1 needs two of them and p = 2 needs three, so q < n.
+    # Conversely x1*y1, x2*y2, x3, ..., x(q-1), y1*y2 has p = 1 and
+    # x1*y1*y3, x2, ..., x(q-2), y1*y2, y2*y3 has p = 2, on q + 1 variables.
+    if max_exp == 1 and want_p and n_gens >= n_vars:
         raise IdealError(
             f"impossible request: no {cls} ideal has {n_gens} squarefree"
             f" generators over {n_vars} variables"
@@ -213,40 +211,13 @@ def random_ideal_of_class(
             f"impossible request: a {cls} ideal over 2 variables has"
             f" {want_p + 2} generators"
         )
-    for _attempt in range(_CLASS_ATTEMPTS):
+    attempts = max(1, min(_CLASS_ATTEMPTS, _CLASS_WORK // (n_vars * n_gens**2)))
+    for _attempt in range(attempts):
         ideal = random_ideal(rng, n_vars, n_gens, max_exp)
         if classify(ideal).p == want_p:
             return ideal
     raise IdealError(
-        f"no {cls} ideal found in {_CLASS_ATTEMPTS} attempts"
+        f"no {cls} ideal found in {attempts} attempts"
         f" (vars={n_vars}, gens={n_gens}, max_exp={max_exp})"
     )
 
-
-def _squarefree_class_exists(n_vars: int, n_gens: int, p: int) -> bool:
-    """Whether some squarefree ideal has n_gens generators, p nondominant;
-    True where that is not cheap to decide.
-
-    With p >= 1 and n_gens - p = n_vars, each dominant generator owns a
-    variable that no other generator uses, so all n_vars are owned and a
-    nondominant generator would be the unit. Otherwise, when there are at
-    most _CLASS_ATTEMPTS sets of n_gens squarefree monomials, their
-    antichains are classified until one has p: never more `classify`
-    calls than the draws this saves. No rng is used, so a feasible
-    request draws the same ideal as without the check.
-    """
-    if p and n_gens - p == n_vars:
-        return False
-    if comb((1 << n_vars) - 1, n_gens) > _CLASS_ATTEMPTS:
-        return True
-    vars = VariableSet(variable_names(n_vars))
-    for masks in combinations(range(1, 1 << n_vars), n_gens):
-        if any(a & b in (a, b) for a, b in combinations(masks, 2)):
-            continue
-        gens = tuple(
-            Monomial(vars, tuple(mask >> v & 1 for v in range(n_vars)))
-            for mask in masks
-        )
-        if classify(MonomialIdeal(vars, gens)).p == p:
-            return True
-    return False

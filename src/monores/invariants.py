@@ -93,10 +93,6 @@ def betti_dominant(ideal: MonomialIdeal) -> InvariantsReport:
             "closed form requires a dominant ideal; use the resolution-derived"
             " path for general ideals"
         )
-    return _betti_dominant(ideal)
-
-
-def _betti_dominant(ideal: MonomialIdeal) -> InvariantsReport:
     q = len(ideal)
     betti = tuple(comb(q, i) for i in range(q + 1))
     reg = lcm(ideal.generators).total_degree() - q
@@ -121,10 +117,6 @@ def invariants_semidominant(ideal: MonomialIdeal) -> InvariantsReport:
     (n_index,), _ = _dominance_split(
         ideal, 1, "closed form requires a semidominant ideal"
     )
-    return _invariants_semidominant(ideal, n_index)
-
-
-def _invariants_semidominant(ideal: MonomialIdeal, n_index: int) -> InvariantsReport:
     n = ideal.generators[n_index]
     n_bit = 1 << n_index
     mdegs = _mdeg_by_mask(ideal)
@@ -207,16 +199,17 @@ def invariants_from_resolution(res: Resolution) -> InvariantsReport:
 
 
 def _closed_form(ideal: MonomialIdeal) -> InvariantsReport | None:
-    nondominant = classify(ideal).nondominant_indices
-    if not nondominant:
-        return _betti_dominant(ideal)
-    if len(nondominant) == 1:
-        return _invariants_semidominant(ideal, nondominant[0])
+    p = classify(ideal).p
+    if p == 0:
+        return betti_dominant(ideal)
+    if p == 1:
+        return invariants_semidominant(ideal)
     return None
 
 
 def invariants_with_cross_check(ideal: MonomialIdeal) -> dict:
-    """Closed-form invariants against Tor per lcm class; raises if they differ."""
+    """Closed-form invariants against Tor over Q per lcm class; raises if
+    they differ."""
     by_lcm = _betti_by_lcm(ideal)
     betti = strip_trailing_zeros(map(sum, zip(*by_lcm.values())))
     reg = max(sum(m) - i for m, b in by_lcm.items() for i, n in enumerate(b) if n)

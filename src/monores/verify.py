@@ -413,7 +413,8 @@ def minimality_check(res: Resolution) -> bool:
 
 
 def betti_oracle(ideal: MonomialIdeal) -> tuple[int, ...]:
-    """Minimal Betti numbers, read off the lcm classes without cancellation."""
+    """Minimal Betti numbers over Q, read off the lcm classes without
+    cancellation."""
     return strip_trailing_zeros(map(sum, zip(*_betti_by_lcm(ideal).values())))
 
 

@@ -377,10 +377,35 @@ def test_random_class_feasible_two_variable_requests_draw_as_before(
 
 
 def test_random_class_squarefree_check_takes_many_variables(capsys):
-    # 2^70 - 1 squarefree candidates are too many to enumerate, so it draws.
+    # The squarefree rule refuses only p >= 1 with q >= n, so a dominant
+    # request over 70 variables goes straight to the draw.
     argv = ["random", "--vars", "70", "--gens", "2", "--class", "dominant", "--max-exp", "1"]
     assert main(argv) == 0
     assert capsys.readouterr().out.count(", ") == 1
+
+
+@pytest.mark.parametrize(
+    "n_vars, n_gens, attempts",
+    [(4, 3, 5000), (400, 50, 10), (100000, 3, 11), (100000, 20, 1)],
+)
+def test_random_class_draws_are_bounded_by_their_work(
+    monkeypatch, n_vars, n_gens, attempts
+):
+    # Each draw compares about n_vars * n_gens^2 exponents; the draws stop
+    # at 5000 or at 10^7 compares, whichever comes first, and at least one.
+    import monores.dominance as dominance
+
+    draws = []
+    dominant = parse_ideal("x, y, z").ideal
+
+    def wrong_class(*args):
+        draws.append(args)
+        return dominant
+
+    monkeypatch.setattr(dominance, "random_ideal", wrong_class)
+    with pytest.raises(IdealError, match=f"no semi1 ideal found in {attempts} attempts"):
+        random_ideal_of_class(random.Random(0), n_vars, n_gens, 3, "semi1")
+    assert len(draws) == attempts
 
 
 def test_random_class_feasible_squarefree_request_draws_as_before(capsys):

@@ -12,6 +12,7 @@ from monores.dominance import (
     is_dominant_subset,
     is_generic,
     largest_dominant_subset_with,
+    random_ideal_of_class,
 )
 from monores.invariants import invariants_semidominant
 from monores.monomials import (
@@ -281,3 +282,61 @@ def test_almost_complete_intersections_have_p_at_most_one(data):
         return
     ideal = MonomialIdeal(vars, tuple(gens) + (extra,))
     assert classify(ideal).p <= 1
+
+
+# --- squarefree class requests ---------------------------------------------------
+
+
+def squarefree_shapes(n_vars):
+    """(q, p) of every antichain of squarefree monomials over n_vars variables."""
+    vars = VariableSet(tuple(f"x{i}" for i in range(n_vars)))
+    masks = range(1, 1 << n_vars)
+    shapes = set()
+
+    def extend(chosen, start):
+        if chosen:
+            gens = tuple(
+                Monomial(vars, tuple(m >> v & 1 for v in range(n_vars)))
+                for m in chosen
+            )
+            shapes.add((len(chosen), classify(MonomialIdeal(vars, gens)).p))
+        for k in range(start, len(masks)):
+            if all(a & masks[k] not in (a, masks[k]) for a in chosen):
+                extend(chosen + [masks[k]], k + 1)
+
+    extend([], 0)
+    return shapes
+
+
+class Drew(Exception):
+    pass
+
+
+def test_squarefree_class_requests_are_refused_exactly_when_no_ideal_exists(
+    monkeypatch,
+):
+    # A request the census cannot meet is refused before any draw; one it
+    # can meet reaches random_ideal.
+    import monores.dominance as dominance
+
+    def draw(*args):
+        raise Drew
+
+    monkeypatch.setattr(dominance, "random_ideal", draw)
+    expected, got = {}, {}
+    for n_vars in range(1, 6):
+        shapes = squarefree_shapes(n_vars)
+        for q in range(1, n_vars + 3):
+            for p, cls in enumerate(("dominant", "semi1", "semi2")):
+                expected[n_vars, q, cls] = "draws" if (q, p) in shapes else "refused"
+                rng = random.Random(0)
+                state = rng.getstate()
+                try:
+                    random_ideal_of_class(rng, n_vars, q, 1, cls)
+                except Drew:
+                    got[n_vars, q, cls] = "draws"
+                except IdealError as error:
+                    assert "impossible request" in str(error)
+                    assert rng.getstate() == state
+                    got[n_vars, q, cls] = "refused"
+    assert got == expected
