@@ -17,14 +17,15 @@ spans a split rank-one subcomplex that can be deleted outright: that
 deletion is a cancellation, and it shrinks two consecutive free modules
 by one each while the quotient stays a resolution of the same module.
 
-The arithmetic is exact throughout and runs on Python ints while values
-are integral. Taylor entries start at ±1, and in practice their pivots
-stay ±1, so their values stay integral. Each scalar is read once, as its
-numerator when its denominator is 1; a division by ±1 is a sign change
-and any other goes through Fraction, so no float ever appears. Ints and
-Fractions mix exactly in one expression, and a result becomes a
-Fraction again only where it is stored in an Entry, so Entry.scalar and
-the trail's pivot scalars are always Fractions.
+The arithmetic is exact throughout. A working copy holds each scalar
+as a Python int while it is integral and as a Fraction otherwise. Taylor
+entries start at ±1, and in practice their pivots stay ±1, so their
+values stay ints and a fill-in step is int arithmetic alone. A
+division by ±1 is a sign change; any other keeps a numerator and a
+denominator and builds a Fraction only when the result is not integral,
+so no float ever appears. Entry.scalar and the trail's pivot scalars are
+always Fractions: the Entries are built once, when the working copy is
+frozen into a Resolution.
 
 Strategies drive which pivots get cancelled. The face/facet eliminator
 only cancels pivots whose row face is a facet of its column face (that
@@ -34,16 +35,23 @@ minimal resolution, because fill-in can create invertible entries
 between faces that are not facet-related and thereby rescue states the
 restricted eliminator cannot leave.
 
-Pivots are found in one sorted index of the invertible positions, keyed
-(degree, column members, row members), which is built once per working
-copy and kept current by every entry write and delete: a write inserts a
-position only when it creates it, a delete removes it. No step rescans
-the matrices. The index never needs re-checking because invertibility
-is static per position: every entry at (row, column) carries the
-monomial mdeg(column) / mdeg(row), fill-in included, so a position is
-invertible exactly when its two faces have equal multidegree, for as
-long as it holds an entry. Every strategy loop reads the same index, in
-the same (degree, column, row) order, so that order fixes its trail.
+Invertibility needs no entry to be read. Every entry at (row, column)
+carries the monomial mdeg(column) / mdeg(row), fill-in included, so a
+position is invertible exactly when its two faces have equal
+multidegree, for as long as it holds an entry. The working copy names
+each face's multidegree by a small int and compares those.
+
+minimize_generic makes one sweep over the columns in (degree, column
+members) order and cancels, in each column, the invertible entry with
+the least row members, if there is one. No cancellation makes an entry
+invertible in a column the sweep has passed, so this is the order of
+always taking the least (degree, column, row) pivot, and it keeps no
+index. The face/facet strategies do keep one: a sorted list of the
+invertible face/facet positions, keyed (degree, column members, row
+members), built by one scan when first read and kept current by every
+entry write and delete after that. Deterministic takes its head and
+SeededRandom a uniformly drawn element, so that order fixes their
+trails.
 
 All public functions take and return faces, leave their input resolution
 untouched and return a fresh one; the loop drivers mutate a private
@@ -56,12 +64,12 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from operator import sub
-from typing import Iterator
+from math import gcd
+from operator import attrgetter, sub
 
 from .dominance import _dominance_split
 from .monomials import IdealError, MonomialIdeal, _monomial
@@ -159,21 +167,29 @@ Strategy = Deterministic | SeededRandom | Scripted
 
 
 _Pivot = tuple[int, tuple[int, ...], tuple[int, ...], int, int]
+_Scalar = int | Fraction
 
-_ONE = Fraction(1)
 
-
-def _value(x: Fraction) -> int | Fraction:
+def _value(x: Fraction) -> _Scalar:
     """x as an int when it is integral, else x itself."""
     return x.numerator if x.denominator == 1 else x
 
 
-def _fraction(x: int | Fraction) -> Fraction:
+def _fraction(x: _Scalar) -> Fraction:
     """x as the Fraction an Entry stores."""
     return x if type(x) is Fraction else Fraction(x)
 
 
-def _divide(a: int | Fraction, b: int | Fraction) -> int | Fraction:
+def _minus(current: _Scalar | None, n: int, m: int) -> _Scalar:
+    """current - n / m, with current None for zero and m > 0, as an int
+    when it is integral and a Fraction otherwise."""
+    cn, cd = (0, 1) if current is None else (current.numerator, current.denominator)
+    num, den = cn * m - n * cd, cd * m
+    g = gcd(num, den)
+    return num // g if g == den else Fraction(num // g, den // g)
+
+
+def _divide(a: _Scalar, b: _Scalar) -> _Scalar:
     """The exact quotient a / b: a or -a when b is ±1, else a Fraction, so
     that no division ever yields a float."""
     if b == 1:
@@ -188,87 +204,210 @@ class _Work:
 
     Every face is keyed by its generator-subset bitmask. modules holds
     each degree's faces as an insertion-ordered mask -> Face dict, so a
-    cancelled face is deleted in O(1) and the rest keep their order;
-    by_col and by_row hold each differential's entries keyed by column
-    mask then row mask, and by row mask then column mask. Faces are read
-    from modules only for what masks do not carry: multidegrees for
-    fill-in monomials, and members for pivot keys and trail events.
-    pivots holds every invertible position as (degree, column members,
-    row members, row mask, column mask), sorted.
+    cancelled face is deleted in O(1) and the rest keep their order.
+    classes maps each degree's masks to a small int that names the
+    face's multidegree, so a position is invertible exactly when its row
+    and column have the same class. by_col holds each differential as
+    column mask -> {row mask: scalar}, and by_row holds each row's set of
+    column masks. Faces are read from modules only for members (index
+    keys and trail events) and, in freeze, for the multidegrees that
+    give a rewritten entry its monomial. source is the resolution the
+    copy was made from, whose Entries freeze reuses where a scalar is
+    unchanged.
+
+    facets is None until facet_pivots() first builds it. From then on it
+    is the sorted list of invertible face/facet positions, as (degree,
+    column members, row members, row mask, column mask), and every write
+    and delete keeps it current.
     """
 
-    __slots__ = ("modules", "by_col", "by_row", "trail", "pivots")
+    __slots__ = (
+        "source", "modules", "classes", "by_col", "by_row", "trail", "facets"
+    )
 
     def __init__(self, res: Resolution) -> None:
+        self.source = res
         self.modules: list[dict[int, Face]] = [
             {f.mask: f for f in m} for m in res.modules
         ]
-        self.by_col: list[dict[int, dict[int, Entry]]] = [{}]
-        self.by_row: list[dict[int, dict[int, Entry]]] = [{}]
+        ids: dict[tuple[int, ...], int] = {}
+        self.classes: list[dict[int, int]] = [
+            {f.mask: ids.setdefault(f.mdeg.exponents, len(ids)) for f in m}
+            for m in res.modules
+        ]
+        self.by_col: list[dict[int, dict[int, _Scalar]]] = [{}]
+        self.by_row: list[dict[int, set[int]]] = [{}]
         self.trail: list[CancellationEvent] = list(res.trail)
-        self.pivots: list[_Pivot] = []
+        self.facets: list[_Pivot] | None = None
+        masks = [[f.mask for f in m] for m in res.modules]
+        # A Taylor complex shares a few scalar objects among all its
+        # entries, so each distinct object is read once.
+        values: dict[int, _Scalar] = {}
         for degree in range(1, res.top + 1):
             matrix = res.diffs[degree]
             assert matrix is not None
-            rows, cols = res.modules[degree - 1], res.modules[degree]
-            by_col: dict[int, dict[int, Entry]] = {}
-            by_row: dict[int, dict[int, Entry]] = {}
+            rows, cols = masks[degree - 1], masks[degree]
+            by_col: defaultdict[int, dict[int, _Scalar]] = defaultdict(dict)
+            by_row: defaultdict[int, set[int]] = defaultdict(set)
             for (ri, ci), entry in matrix.entries.items():
-                row, col = rows[ri], cols[ci]
-                by_col.setdefault(col.mask, {})[row.mask] = entry
-                by_row.setdefault(row.mask, {})[col.mask] = entry
-                if entry.is_invertible:
-                    self.pivots.append(
-                        (degree, col.members, row.members, row.mask, col.mask)
-                    )
-            self.by_col.append(by_col)
-            self.by_row.append(by_row)
-        self.pivots.sort()
+                row, col, scalar = rows[ri], cols[ci], entry.scalar
+                value = values.get(id(scalar))
+                if value is None:
+                    value = values[id(scalar)] = _value(scalar)
+                by_col[col][row] = value
+                by_row[row].add(col)
+            self.by_col.append(dict(by_col))
+            self.by_row.append(dict(by_row))
 
     @property
     def top(self) -> int:
         return len(self.modules) - 1
 
     def freeze(self) -> Resolution:
+        """The current state as a Resolution. A position that holds the
+        scalar it held in the source keeps the source's Entry; any other
+        Entry is built here, once, with the monomial mdeg(col) / mdeg(row)."""
         positions = [{mask: i for i, mask in enumerate(m)} for m in self.modules]
+        source = self.source
+        source_positions = [
+            {f.mask: i for i, f in enumerate(m)} for m in source.modules
+        ]
         diffs: list[DifferentialMatrix | None] = [None]
         for degree in range(1, self.top + 1):
+            rows, cols = self.modules[degree - 1], self.modules[degree]
             row_pos, col_pos = positions[degree - 1], positions[degree]
-            entries = {
-                (row_pos[row], col_pos[col]): entry
-                for col, col_entries in self.by_col[degree].items()
-                for row, entry in col_entries.items()
-            }
+            source_rows, source_cols = source_positions[degree - 1 : degree + 1]
+            source_entries = source.diffs[degree].entries
+            entries: dict[tuple[int, int], Entry] = {}
+            for col, col_entries in self.by_col[degree].items():
+                ci, source_ci, mdeg = col_pos[col], source_cols[col], cols[col].mdeg
+                for row, scalar in col_entries.items():
+                    entry = source_entries.get((source_rows[row], source_ci))
+                    if entry is None or entry.scalar != scalar:
+                        quotient = tuple(
+                            map(sub, mdeg.exponents, rows[row].mdeg.exponents)
+                        )
+                        monomial = _monomial(mdeg.vars, quotient)
+                        entry = _entry(_fraction(scalar), monomial, not any(quotient))
+                    entries[row_pos[row], ci] = entry
             diffs.append(DifferentialMatrix(entries))
         modules = [list(m.values()) for m in self.modules]
         return Resolution(modules, diffs, list(self.trail))
 
-    def _pivot_key(self, degree: int, row: int, col: int) -> _Pivot:
-        row_members = self.modules[degree - 1][row].members
-        return (degree, self.modules[degree][col].members, row_members, row, col)
+    def get(self, degree: int, row: int, col: int) -> _Scalar | None:
+        col_entries = self.by_col[degree].get(col)
+        return None if col_entries is None else col_entries.get(row)
 
-    def get(self, degree: int, row: int, col: int) -> Entry | None:
-        return self.by_col[degree].get(col, {}).get(row)
+    def invertible(self, degree: int, row: int, col: int) -> bool:
+        """Whether (row, col) holds an entry and its faces share a multidegree."""
+        return (
+            self.get(degree, row, col) is not None
+            and self.classes[degree - 1][row] == self.classes[degree][col]
+        )
 
-    def set(self, degree: int, row: int, col: int, entry: Entry) -> None:
+    def _facet_key(self, degree: int, row: int, col: int) -> _Pivot | None:
+        """The index key of an invertible face/facet position, else None."""
+        if (
+            self.classes[degree - 1][row] != self.classes[degree][col]
+            or row & col != row
+            or (col ^ row).bit_count() != 1
+        ):
+            return None
+        return (
+            degree,
+            self.modules[degree][col].members,
+            self.modules[degree - 1][row].members,
+            row,
+            col,
+        )
+
+    def _index(self, degree: int, row: int, col: int) -> None:
+        """Add a new position to the face/facet index, if it belongs there."""
+        if (key := self._facet_key(degree, row, col)) is not None:
+            insort(self.facets, key)
+
+    def _unindex(self, degree: int, row: int, col: int) -> None:
+        """Drop a position from the face/facet index, if it is there."""
+        if (key := self._facet_key(degree, row, col)) is not None:
+            facets = self.facets
+            del facets[bisect_left(facets, key)]
+
+    def facet_pivots(self) -> list[_Pivot]:
+        """The face/facet index, built by one scan on the first call."""
+        if self.facets is None:
+            self.facets = sorted(
+                key
+                for degree in range(1, self.top + 1)
+                for col, col_entries in self.by_col[degree].items()
+                for row in col_entries
+                if self.classes[degree - 1][row] == self.classes[degree][col]
+                and (key := self._facet_key(degree, row, col)) is not None
+            )
+        return self.facets
+
+    def set(self, degree: int, row: int, col: int, scalar: _Scalar) -> None:
         col_entries = self.by_col[degree].setdefault(col, {})
-        if row not in col_entries and entry.is_invertible:
-            insort(self.pivots, self._pivot_key(degree, row, col))
-        col_entries[row] = entry
-        self.by_row[degree].setdefault(row, {})[col] = entry
+        if row not in col_entries:
+            self.by_row[degree].setdefault(row, set()).add(col)
+            if self.facets is not None:
+                self._index(degree, row, col)
+        col_entries[row] = scalar
 
     def delete(self, degree: int, row: int, col: int) -> None:
         col_entries = self.by_col[degree].get(col)
         if col_entries and row in col_entries:
-            if col_entries.pop(row).is_invertible:
-                key = self._pivot_key(degree, row, col)
-                del self.pivots[bisect_left(self.pivots, key)]
+            if self.facets is not None:
+                self._unindex(degree, row, col)
+            del col_entries[row]
             if not col_entries:
                 del self.by_col[degree][col]
-            row_entries = self.by_row[degree][row]
-            del row_entries[col]
-            if not row_entries:
+            row_cols = self.by_row[degree][row]
+            row_cols.remove(col)
+            if not row_cols:
                 del self.by_row[degree][row]
+
+    def _fill_in(self, degree: int, row: int, col: int, pivot: _Scalar) -> None:
+        """b_cd = a_cd - a_rd * (a_cs / a_rs) over the outer product of the
+        pivot row and column, both left as they are.
+
+        The factor is taken once per c, as a numerator and a positive
+        denominator. While the terms are ints the update is one int
+        subtraction; otherwise _minus builds one Fraction, and only when
+        the result is not integral.
+        """
+        by_col, by_row = self.by_col[degree], self.by_row[degree]
+        indexed = self.facets is not None
+        factors = []
+        for c, a_cs in by_col[col].items():
+            if c != row:
+                factor = _divide(a_cs, pivot)
+                factors.append((c, factor.numerator, factor.denominator))
+        for d in by_row[row]:
+            if d == col:
+                continue
+            # The pivot row's entry keeps this column nonempty, and each
+            # row c keeps its pivot-column entry.
+            d_entries = by_col[d]
+            a = d_entries[row]
+            an, ad = a.numerator, a.denominator
+            for c, fn, fd in factors:
+                current = d_entries.get(c)
+                n, m = an * fn, ad * fd
+                if m == 1 and type(current) is not Fraction:
+                    scalar = -n if current is None else current - n
+                else:
+                    scalar = _minus(current, n, m)
+                if scalar:
+                    d_entries[c] = scalar
+                    if current is None:
+                        by_row[c].add(d)
+                        if indexed:
+                            self._index(degree, c, d)
+                else:
+                    if indexed:
+                        self._unindex(degree, c, d)
+                    del d_entries[c]
+                    by_row[c].remove(d)
 
     def change_of_basis(self, degree: int, row: int, col: int) -> None:
         pivot = self.get(degree, row, col)
@@ -277,101 +416,82 @@ class _Work:
                 f"no entry at row {tuple(_bits(row))}, column {tuple(_bits(col))}"
                 f" of the degree-{degree} differential"
             )
-        if not pivot.is_invertible:
+        if self.classes[degree - 1][row] != self.classes[degree][col]:
             raise IdealError(
                 f"pivot at row {tuple(_bits(row))}, column {tuple(_bits(col))}"
                 " is not invertible"
             )
-        by_col = self.by_col[degree]
-        old_row = dict(self.by_row[degree].get(row, {}))
-        old_col = dict(by_col.get(col, {}))
-        rows, cols = self.modules[degree - 1], self.modules[degree]
-
-        # Fill-in over the outer product of the pivot row and pivot column:
-        # b_cd = a_cd - a_rd * (a_cs / a_rs), the factor taken once per c,
-        # on ints while the values are integral.
-        pivot_scalar = _value(pivot.scalar)
-        factors = [
-            (c, _divide(_value(a_cs.scalar), pivot_scalar))
-            for c, a_cs in old_col.items()
-            if c != row
-        ]
-        vars = pivot.monomial.vars
-        for d, a_rd in old_row.items():
-            if d == col:
-                continue
-            # The pivot row's entry keeps this column dict nonempty (and so
-            # in place) until the clean-up below.
-            d_entries = by_col[d]
-            a = _value(a_rd.scalar)
-            d_exponents = cols[d].mdeg.exponents
-            for c, factor in factors:
-                current = d_entries.get(c)
-                if current is None:
-                    # Every entry at (c, d) carries mdeg(d) / mdeg(c).
-                    quotient = tuple(map(sub, d_exponents, rows[c].mdeg.exponents))
-                    monomial = _monomial(vars, quotient)
-                    scalar = _fraction(-(a * factor))
-                    entry = _entry(scalar, monomial, not any(quotient))
-                    self.set(degree, c, d, entry)
-                    continue
-                scalar = _value(current.scalar) - a * factor
-                if scalar:
-                    entry = _entry(
-                        _fraction(scalar), current.monomial, current.is_invertible
-                    )
-                    self.set(degree, c, d, entry)
-                else:
-                    self.delete(degree, c, d)
-
+        self._fill_in(degree, row, col, pivot)
         # Pivot row and column become unit vectors meeting at the pivot.
-        for d in old_row:
+        for d in list(self.by_row[degree][row]):
             if d != col:
                 self.delete(degree, row, d)
-        for c in old_col:
+        for c in list(self.by_col[degree][col]):
             if c != row:
                 self.delete(degree, c, col)
-        self.set(degree, row, col, _entry(_ONE, pivot.monomial, True))
+        self.set(degree, row, col, 1)
 
         # The adjacent differentials lose the pair's row and column.
         if degree + 1 <= self.top:
-            for up in list(self.by_row[degree + 1].get(col, {})):
+            for up in list(self.by_row[degree + 1].get(col, ())):
                 self.delete(degree + 1, col, up)
         if degree - 1 >= 1:
-            for down in list(self.by_col[degree - 1].get(row, {})):
+            for down in list(self.by_col[degree - 1].get(row, ())):
                 self.delete(degree - 1, down, row)
 
+    def _drop_face(self, degree: int, mask: int) -> None:
+        """Delete a face with every entry on it: its column of diffs[degree]
+        and its row of diffs[degree + 1]."""
+        indexed = self.facets is not None
+        if degree >= 1:
+            by_row = self.by_row[degree]
+            for row in self.by_col[degree].pop(mask, ()):
+                if indexed:
+                    self._unindex(degree, row, mask)
+                row_cols = by_row[row]
+                row_cols.remove(mask)
+                if not row_cols:
+                    del by_row[row]
+        if degree < self.top:
+            by_col = self.by_col[degree + 1]
+            for col in self.by_row[degree + 1].pop(mask, ()):
+                if indexed:
+                    self._unindex(degree + 1, mask, col)
+                col_entries = by_col[col]
+                del col_entries[mask]
+                if not col_entries:
+                    del by_col[col]
+        del self.modules[degree][mask]
+
     def cancel(self, degree: int, row: int, col: int, strategy_tag: str) -> None:
+        """Fill in around the pivot and delete its two faces. That is the
+        change of basis followed by deleting the split pair, without
+        first writing the unit row and column."""
         pivot = self.get(degree, row, col)
-        if pivot is None or not pivot.is_invertible:
+        if pivot is None or self.classes[degree - 1][row] != self.classes[degree][col]:
             raise IdealError(
                 f"cannot cancel row {tuple(_bits(row))}, column {tuple(_bits(col))}:"
                 " no invertible entry there"
             )
         sigma, tau = self.modules[degree][col], self.modules[degree - 1][row]
-        self.change_of_basis(degree, row, col)
-        # Fill-in writes no entry in the pivot's row or column, and the
-        # adjacent row and column are cleared, so the pivot is the one entry
-        # left on either face. It goes first: its delete reads both faces.
-        self.delete(degree, row, col)
-        del self.modules[degree][col]
-        del self.modules[degree - 1][row]
-        self.trail.append(CancellationEvent(sigma, tau, pivot.scalar, strategy_tag))
-
-    def facet_pivots(self) -> Iterator[tuple[int, int, int]]:
-        """Invertible face/facet positions, in (degree, column, row) order."""
-        for degree, _, _, row, col in self.pivots:
-            if row & col == row and (col ^ row).bit_count() == 1:
-                yield degree, row, col
+        self._fill_in(degree, row, col, pivot)
+        # The column goes first: the pivot's index key reads both faces.
+        self._drop_face(degree, col)
+        self._drop_face(degree - 1, row)
+        self.trail.append(
+            CancellationEvent(sigma, tau, _fraction(pivot), strategy_tag)
+        )
 
 
 def find_invertible_entries(res: Resolution) -> list[tuple[int, Face, Face]]:
     """All invertible positions, ordered by (degree, column, row)."""
-    work = _Work(res)
-    return [
-        (degree, work.modules[degree - 1][row], work.modules[degree][col])
-        for degree, _, _, row, col in work.pivots
+    found = [
+        (degree, res.modules[degree - 1][ri], res.modules[degree][ci])
+        for degree in range(1, res.top + 1)
+        for (ri, ci), entry in res.diffs[degree].entries.items()
+        if entry.is_invertible
     ]
+    return sorted(found, key=lambda t: (t[0], t[2].members, t[1].members))
 
 
 def standard_change_of_basis(
@@ -409,31 +529,31 @@ def eliminate_face_facet_pairs(
                 problem = "face not present"
             elif not tau.is_facet_of(sigma):
                 problem = "not face and facet"
-            else:
-                entry = work.get(degree, tau.mask, sigma.mask)
-                if entry is None or not entry.is_invertible:
-                    problem = "no invertible entry there"
+            elif not work.invertible(degree, tau.mask, sigma.mask):
+                problem = "no invertible entry there"
             if problem is not None:
                 raise IdealError(
                     f"scripted pair ({list(sigma_members)}, {list(tau_members)})"
                     f" is not cancellable: {problem}"
                 )
             work.cancel(degree, tau.mask, sigma.mask, "scripted")
-    elif isinstance(strategy, SeededRandom):
-        rng = random.Random(strategy.seed)
-        tag = f"random:{strategy.seed}"
-        while candidates := list(work.facet_pivots()):
-            degree, row, col = candidates[rng.randrange(len(candidates))]
-            work.cancel(degree, row, col, tag)
     else:
-        while pivot := next(work.facet_pivots(), None):
-            degree, row, col = pivot
-            work.cancel(degree, row, col, "deterministic")
+        # The index is kept current in place, so each step reads it anew.
+        facets = work.facet_pivots()
+        if isinstance(strategy, SeededRandom):
+            rng, tag = random.Random(strategy.seed), f"random:{strategy.seed}"
+            while facets:
+                degree, _, _, row, col = facets[rng.randrange(len(facets))]
+                work.cancel(degree, row, col, tag)
+        else:
+            while facets:
+                degree, _, _, row, col = facets[0]
+                work.cancel(degree, row, col, "deterministic")
 
     resolution = work.freeze()
     # Classes come smallest exponent vector first, faces in sort_key order.
     repeated = repeated_multidegree_classes(resolution)
-    if repeated and next(work.facet_pivots(), None) is None:
+    if repeated and not work.facet_pivots():
         witness = next(iter(repeated.values()))
         return EliminationOutcome(resolution, "stuck", witness)
     return EliminationOutcome(resolution, "completed", None)
@@ -442,15 +562,28 @@ def eliminate_face_facet_pairs(
 def minimize_generic(res: Resolution) -> Resolution:
     """Cancel invertible entries (facet-related or not) until none remain.
 
-    Each step removes one rank from two consecutive degrees, so the loop
-    terminates; the result has no invertible entries and is therefore a
+    One sweep over the columns in (degree, column members) order cancels
+    each column's invertible entry with the least row members, if it has
+    one; no cancellation makes an entry invertible in a column already
+    passed. The result has no invertible entries and is therefore a
     minimal resolution. Pivots are exact rationals, so the surviving
     (degree, multidegree) multiset is the multigraded Betti data over Q.
     """
     work = _Work(res)
-    while work.pivots:
-        degree, _, _, row, col = work.pivots[0]
-        work.cancel(degree, row, col, "generic")
+    for degree in range(1, work.top + 1):
+        rows, faces = work.modules[degree - 1], work.modules[degree].values()
+        row_classes, col_classes = work.classes[degree - 1], work.classes[degree]
+        by_col = work.by_col[degree]
+        for sigma in sorted(faces, key=attrgetter("members")):
+            col, row = sigma.mask, None
+            k = col_classes[col]
+            for r in by_col.get(col, ()):
+                if row_classes[r] == k and (
+                    row is None or rows[r].members < rows[row].members
+                ):
+                    row = r
+            if row is not None:
+                work.cancel(degree, row, col, "generic")
     return work.freeze()
 
 

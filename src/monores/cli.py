@@ -58,6 +58,7 @@ from .taylor import (
 )
 from .verify import (
     OracleDisagreementError,
+    _check_betti_by_lcm,
     compose_check,
     minimality_check,
     strand_exactness,
@@ -405,6 +406,7 @@ def cmd_verify(args, ideal: MonomialIdeal, warnings: list[str]) -> int:
         and minimal_report["minimal"]
     ):
         raise OracleDisagreementError("verification failed; see report")
+    _check_betti_by_lcm(minimal, ideal)
     return 0
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import comb
-from operator import add, sub
+from operator import add, le, sub
 from typing import Iterable, Sequence
 
 # Resolutions never grow exponents beyond the componentwise max of the
@@ -400,25 +400,23 @@ def random_ideal(
             f" with exponents at most {max_exp} are pairwise incomparable"
         )
     vars = VariableSet(variable_names(n_vars))
+    # Draws are plain exponent tuples; only the returned ideal's are
+    # made Monomials.
     for _attempt in range(400):
-        gens: list[Monomial] = []
-        ok = True
+        gens: list[tuple[int, ...]] = []
         for _slot in range(n_gens):
             for _draw in range(300):
-                m = Monomial(
-                    vars, tuple(rng.randint(0, max_exp) for _ in range(n_vars))
-                )
-                if m.is_unit:
+                e = tuple(rng.randint(0, max_exp) for _ in range(n_vars))
+                if not any(e) or any(
+                    all(map(le, e, g)) or all(map(le, g, e)) for g in gens
+                ):
                     continue
-                if any(m.divides(g) or g.divides(m) for g in gens):
-                    continue
-                gens.append(m)
+                gens.append(e)
                 break
             else:
-                ok = False
                 break
-        if ok:
-            return MonomialIdeal(vars, tuple(gens))
+        if len(gens) == n_gens:
+            return MonomialIdeal(vars, tuple(Monomial(vars, e) for e in gens))
     # The middle exponent-sum layer is an antichain, the one that
     # `_largest_antichain` counts, so it holds n_gens points; it leaves
     # out the unit once n_vars * max_exp >= 2.

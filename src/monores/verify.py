@@ -66,6 +66,7 @@ passes shift = 0: its row keys are the row indices.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, product
@@ -73,7 +74,7 @@ from math import gcd, lcm
 from operator import add, or_
 from typing import Iterable, Sequence
 
-from .monomials import CapExceededError, Monomial, MonomialIdeal
+from .monomials import CapExceededError, Monomial, MonomialIdeal, _monomial
 from .taylor import Resolution, _bits, _subsets_by_lcm, lcm_lattice, strip_trailing_zeros
 
 # Exhaustive strand mode enumerates every exponent vector below the top
@@ -442,3 +443,26 @@ def _betti_by_lcm(ideal: MonomialIdeal) -> dict[tuple[int, ...], list[int]]:
         betti = [d - r - s for d, r, s in zip(dims, ranks, ranks[1:])]
         out[mdegs[masks[0]].exponents] = betti
     return out
+
+
+def _check_betti_by_lcm(res: Resolution, ideal: MonomialIdeal) -> None:
+    """Raise OracleDisagreementError unless res has exactly β_{i,m} faces
+    in each degree i and multidegree m, as _betti_by_lcm reads them."""
+    faces = Counter(
+        (degree, face.mdeg.exponents)
+        for degree, module in enumerate(res.modules)
+        for face in module
+    )
+    tor = {
+        (degree, m): b
+        for m, betti in _betti_by_lcm(ideal).items()
+        for degree, b in enumerate(betti)
+        if b
+    }
+    if faces != tor:
+        degree, m = min(set(faces.items()) ^ set(tor.items()))[0]
+        raise OracleDisagreementError(
+            f"the minimized resolution has {faces[degree, m]} faces of degree"
+            f" {degree} and multidegree {_monomial(ideal.vars, m)}, but Tor"
+            f" per lcm class gives {tor.get((degree, m), 0)}"
+        )

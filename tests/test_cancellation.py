@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import I, ideals, ideals_of_every_class, random_minimal_ideal
 from monores import cancellation
 from monores.cancellation import (
+    CancellationEvent,
     Deterministic,
     Scripted,
     SeededRandom,
@@ -75,41 +76,50 @@ def test_find_invertible_none_for_minimal():
     assert find_invertible_entries(build_taylor(I("x^2, x*z, y^3"))) == []
 
 
-# --- the pivot index ----------------------------------------------------------------
+# --- the face/facet index ----------------------------------------------------------
 
 
-def reference_invertible_positions(work):
-    """The full rescan and sort that the pivot index replaces."""
+def reference_facet_positions(work):
+    """The full rescan and sort that the face/facet index replaces: every
+    entry whose row face is a facet of its column face and has its
+    multidegree, read from the faces themselves."""
     found = []
     for degree in range(1, work.top + 1):
+        rows, cols = work.modules[degree - 1], work.modules[degree]
         for col, col_entries in work.by_col[degree].items():
-            for row, entry in col_entries.items():
-                if entry.is_invertible:
-                    found.append((degree, row, col))
-    found.sort(
-        key=lambda t: (
-            t[0],
-            work.modules[t[0]][t[2]].members,
-            work.modules[t[0] - 1][t[1]].members,
-        )
-    )
-    return found
+            for row in col_entries:
+                row_face, col_face = rows[row], cols[col]
+                if row_face.is_facet_of(col_face) and row_face.mdeg == col_face.mdeg:
+                    found.append((degree, col_face.members, row_face.members, row, col))
+    return sorted(found)
+
+
+def assert_rows_mirror_columns(work):
+    """by_row lists exactly the positions of by_col, and neither keeps an
+    empty column or row."""
+    for by_col, by_row in zip(work.by_col, work.by_row):
+        assert all(by_col.values()) and all(by_row.values())
+        by_cols = {(row, col) for col, rows in by_col.items() for row in rows}
+        by_rows = {(row, col) for row, cols in by_row.items() for col in cols}
+        assert by_cols == by_rows
 
 
 def assert_index_current(work):
-    assert [(j, r, c) for j, _, _, r, c in work.pivots] == (
-        reference_invertible_positions(work)
-    )
-    assert all(
-        cm == work.modules[j][c].members and rm == work.modules[j - 1][r].members
-        for j, cm, rm, r, c in work.pivots
-    )
+    assert work.facets == reference_facet_positions(work)
+    assert_rows_mirror_columns(work)
 
 
 @contextmanager
 def index_checked_after_every_step():
-    """Compare the index to the rescan after every change of basis and cancel."""
+    """Build the face/facet index of every working copy at once, so that
+    minimize_generic keeps it too, and compare it to the rescan after
+    every change of basis and cancel."""
     steps = []
+    init = _Work.__init__
+
+    def indexed(self, res):
+        init(self, res)
+        self.facet_pivots()
 
     def checked(method):
         def run(self, *args):
@@ -119,9 +129,9 @@ def index_checked_after_every_step():
 
         return run
 
-    with patch.object(_Work, "cancel", checked(_Work.cancel)), patch.object(
-        _Work, "change_of_basis", checked(_Work.change_of_basis)
-    ):
+    with patch.object(_Work, "__init__", indexed), patch.object(
+        _Work, "cancel", checked(_Work.cancel)
+    ), patch.object(_Work, "change_of_basis", checked(_Work.change_of_basis)):
         yield steps
 
 
@@ -138,7 +148,9 @@ def crowded_ideals(draw):
 @given(crowded_ideals(), st.integers(0, 2**16))
 def test_pivot_index_matches_rescan_after_every_cancel(ideal, seed):
     taylor = build_taylor(ideal)
-    assert_index_current(_Work(taylor))
+    work = _Work(taylor)
+    work.facet_pivots()
+    assert_index_current(work)
     with index_checked_after_every_step() as steps:
         generic = minimize_generic(taylor)
         deterministic = eliminate_face_facet_pairs(taylor)
@@ -147,12 +159,15 @@ def test_pivot_index_matches_rescan_after_every_cancel(ideal, seed):
         script = [(e.sigma.members, e.tau.members) for e in shuffled.resolution.trail]
         replay = eliminate_face_facet_pairs(taylor, Scripted(script))
         minimize_generic(deterministic.resolution)
+        pivots = find_invertible_entries(taylor)[:3]
+        for degree, row, col in pivots:
+            standard_change_of_basis(taylor, degree, row, col)
     cancels = sum(
         len(r.trail)
         for r in (generic, deterministic.resolution, shuffled.resolution)
     )
     assert steps.count("cancel") >= cancels + len(replay.resolution.trail)
-    assert steps.count("change_of_basis") == steps.count("cancel")
+    assert steps.count("change_of_basis") == len(pivots)
     assert replay.resolution.ranks() == shuffled.resolution.ranks()
 
 
@@ -161,11 +176,7 @@ def test_pivot_index_through_non_facet_fill_in():
     script = Scripted((((0, 1, 2, 3), (0, 1, 3)), ((0, 1, 2), (0, 2))))
     with index_checked_after_every_step() as steps:
         stuck = eliminate_face_facet_pairs(taylor, script).resolution
-        work = _Work(stuck)
-        assert any(
-            not work.modules[j - 1][r].is_facet_of(work.modules[j][c])
-            for j, _, _, r, c in work.pivots
-        )
+        assert any(not r.is_facet_of(c) for _, r, c in find_invertible_entries(stuck))
         minimize_generic(stuck)
     assert steps.count("cancel") == 2 + 1
 
@@ -173,12 +184,15 @@ def test_pivot_index_through_non_facet_fill_in():
 def test_work_keys_faces_by_mask():
     outcome = eliminate_face_facet_pairs(build_taylor(I("x^2, x*y, y^3")))
     work = _Work(outcome.resolution)
-    keys = [k for m in work.modules for k in m]
+    keys = [k for m in work.modules + work.classes for k in m]
     for d in work.by_col + work.by_row:
         for key, inner in d.items():
             keys += [key, *inner]
     assert keys and all(type(k) is int for k in keys)
     assert all(k == face.mask for m in work.modules for k, face in m.items())
+    # Taylor's unit scalars are held as ints, not as Fractions.
+    scalars = [x for d in work.by_col for col in d.values() for x in col.values()]
+    assert scalars and all(type(x) is int for x in scalars)
 
 
 def test_equal_faces_hash_equal():
@@ -197,16 +211,15 @@ def test_equal_faces_hash_equal():
 
 
 def reference_change_of_basis(work, degree, row, col):
-    """The plain fill-in loop, kept as the reference: one get, one
-    division and one exact_div per position, faces read from
-    work.modules by mask. Used as a method of _ReferenceWork."""
+    """The plain fill-in loop, kept as the reference: one get and one
+    Fraction division per position, invertibility read from the faces'
+    multidegrees. Used as a method of _ReferenceWork."""
     pivot = work.get(degree, row, col)
     if pivot is None:
         raise IdealError("no entry there")
-    if not pivot.is_invertible:
+    if work.modules[degree - 1][row].mdeg != work.modules[degree][col].mdeg:
         raise IdealError("pivot is not invertible")
-    row_face = work.modules[degree - 1][row]
-    old_row = dict(work.by_row[degree].get(row, {}))
+    old_row = {d: work.get(degree, row, d) for d in work.by_row[degree].get(row, ())}
     old_col = dict(work.by_col[degree].get(col, {}))
     for d, a_rd in old_row.items():
         if d == col:
@@ -215,35 +228,37 @@ def reference_change_of_basis(work, degree, row, col):
             if c == row:
                 continue
             current = work.get(degree, c, d)
-            scalar = (Fraction(0) if current is None else current.scalar) - (
-                a_rd.scalar * a_cs.scalar / pivot.scalar
-            )
+            scalar = Fraction(current or 0) - Fraction(a_rd) * a_cs / Fraction(pivot)
             if scalar == 0:
                 if current is not None:
                     work.delete(degree, c, d)
             else:
-                d_face = work.modules[degree][d]
-                c_face = work.modules[degree - 1][c]
-                work.set(
-                    degree,
-                    c,
-                    d,
-                    Entry(scalar, d_face.mdeg.exact_div(c_face.mdeg)),
-                )
+                work.set(degree, c, d, scalar)
     for d in old_row:
         if d != col:
             work.delete(degree, row, d)
     for c in old_col:
         if c != row:
             work.delete(degree, c, col)
-    unit = row_face.mdeg.vars.unit()
-    work.set(degree, row, col, Entry(Fraction(1), unit))
+    work.set(degree, row, col, Fraction(1))
     if degree + 1 <= work.top:
-        for up in list(work.by_row[degree + 1].get(col, {})):
+        for up in list(work.by_row[degree + 1].get(col, ())):
             work.delete(degree + 1, col, up)
     if degree - 1 >= 1:
         for down in list(work.by_col[degree - 1].get(row, {})):
             work.delete(degree - 1, down, row)
+
+
+def reference_cancel(work, degree, row, col, strategy_tag):
+    """The reference change of basis, then the delete of the pivot and of
+    its two faces, which the change of basis has split off."""
+    pivot = work.get(degree, row, col)
+    sigma, tau = work.modules[degree][col], work.modules[degree - 1][row]
+    reference_change_of_basis(work, degree, row, col)
+    work.delete(degree, row, col)
+    del work.modules[degree][col]
+    del work.modules[degree - 1][row]
+    work.trail.append(CancellationEvent(sigma, tau, Fraction(pivot), strategy_tag))
 
 
 class _ReferenceWork(_Work):
@@ -251,43 +266,53 @@ class _ReferenceWork(_Work):
     change_of_basis = reference_change_of_basis
 
 
+def _copied(value):
+    """value with every dict, list and set in it copied, in order; faces,
+    scalars and events are immutable and shared."""
+    if isinstance(value, dict):
+        return {k: _copied(v) for k, v in value.items()}
+    if isinstance(value, (list, set)):
+        return type(value)(map(_copied, value))
+    return value
+
+
 def clone(work, cls):
-    """A copy of a working resolution that keeps every dict order."""
+    """A copy of a working resolution, every slot copied and in order."""
     copy = cls.__new__(cls)
-    copy.modules = [dict(m) for m in work.modules]
-    copy.by_col = [{k: dict(v) for k, v in d.items()} for d in work.by_col]
-    copy.by_row = [{k: dict(v) for k, v in d.items()} for d in work.by_row]
-    copy.trail = list(work.trail)
-    copy.pivots = list(work.pivots)
+    for name in _Work.__slots__:
+        setattr(copy, name, _copied(getattr(work, name)))
     return copy
 
 
 def work_state(work):
-    """Everything a working resolution holds, in order, entries included."""
-    return (
-        [list(m) for m in work.modules],
-        [[(k, list(v.items())) for k, v in d.items()] for d in work.by_col],
-        [[(k, list(v.items())) for k, v in d.items()] for d in work.by_row],
-        [(degree, cm, rm) for degree, cm, rm, _, _ in work.pivots],
-        work.trail,
-    )
+    """What a working resolution holds, read through freeze() in order,
+    with the face/facet index when it is built."""
+    res = work.freeze()
+    entries = [list(matrix.entries.items()) for matrix in res.diffs[1:]]
+    return res.modules, entries, res.trail, work.facets
 
 
 def assert_same_work(work, reference):
     assert work_state(work) == work_state(reference)
-    for j, d in enumerate(work.by_col[1:], 1):
-        for col, entries in d.items():
-            for row, entry in entries.items():
-                assert type(entry.scalar) is Fraction
-                assert entry.is_invertible == entry.monomial.is_unit
-                col_face, row_face = work.modules[j][col], work.modules[j - 1][row]
-                assert entry.monomial == col_face.mdeg.exact_div(row_face.mdeg)
+    assert_rows_mirror_columns(work)
+    # The kernel holds a scalar as an int exactly while it is integral.
+    for d in work.by_col[1:]:
+        for col_entries in d.values():
+            for x in col_entries.values():
+                assert type(x) is int or (type(x) is Fraction and x.denominator != 1)
+    res = work.freeze()
+    for j, matrix in enumerate(res.diffs[1:], 1):
+        for (ri, ci), entry in matrix.entries.items():
+            assert type(entry.scalar) is Fraction
+            assert entry.is_invertible == entry.monomial.is_unit
+            col_face, row_face = res.modules[j][ci], res.modules[j - 1][ri]
+            assert entry.monomial == col_face.mdeg.exact_div(row_face.mdeg)
 
 
 @contextmanager
 def fill_in_checked_against_reference():
     """Replay every change of basis and cancel on an order-keeping copy
-    through the reference loop and require the same entries and order."""
+    through the reference loops and require the same entries and order."""
     steps = []
     change_of_basis, cancel = _Work.change_of_basis, _Work.cancel
 
@@ -303,7 +328,7 @@ def fill_in_checked_against_reference():
 
     with patch.object(
         _Work, "change_of_basis", checked(change_of_basis, reference_change_of_basis)
-    ), patch.object(_Work, "cancel", checked(cancel, cancel)):
+    ), patch.object(_Work, "cancel", checked(cancel, reference_cancel)):
         yield steps
 
 
@@ -383,12 +408,15 @@ def test_fill_in_matches_reference_after_every_step(ideal, seed):
         eliminate_face_facet_pairs(rescaled, SeededRandom(seed))
         assert minimize_generic(sheared).ranks() == generic.ranks()
         eliminate_face_facet_pairs(sheared)
+        pivots = find_invertible_entries(sheared)[:3]
+        for degree, row, col in pivots:
+            standard_change_of_basis(sheared, degree, row, col)
     cancels = sum(
         len(r.trail)
         for r in (generic, deterministic.resolution, shuffled.resolution, scaled)
     )
     assert steps.count("cancel") >= cancels
-    assert steps.count("change_of_basis") == steps.count("cancel")
+    assert steps.count("change_of_basis") == len(pivots)
     assert all(abs(e.pivot_scalar) != 1 for e in scaled.trail)
     assert scaled.ranks() == generic.ranks()
 
@@ -447,7 +475,8 @@ def test_fill_in_hands_integers_over_to_fractions(pivot):
     )
     with fill_in_checked_against_reference() as steps:
         out = standard_cancellation(res, 2, rows[0], cols[0])
-    assert steps == ["change_of_basis", "cancel"]
+        standard_change_of_basis(res, 2, rows[0], cols[0])
+    assert steps == ["cancel", "change_of_basis"]
     assert [e.pivot_scalar for e in out.trail] == [Fraction(pivot)]
     assert type(out.trail[0].pivot_scalar) is Fraction
     scalars = {

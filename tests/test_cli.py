@@ -6,6 +6,7 @@ from operator import le
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from monores.cancellation import standard_cancellation
 from monores.cli import main
 from monores.dominance import classify, random_ideal_of_class
 from monores.monomials import (
@@ -585,6 +586,63 @@ def test_verify_command_exits_3_when_an_oracle_fails(capsys, monkeypatch):
     assert captured.err == (
         "error: internal oracle disagreement: verification failed; see report\n"
     )
+
+
+def _pass_the_other_oracles(monkeypatch):
+    """Make compose_check, the strand oracle and minimality_check report
+    success, so that only the Tor comparison can fail a verify run."""
+    import monores.cli as cli
+
+    monkeypatch.setattr(cli, "compose_check", lambda res: True)
+    monkeypatch.setattr(cli, "strand_exactness", lambda res, ideal: [])
+    monkeypatch.setattr(cli, "minimality_check", lambda res: True)
+
+
+def _drop_one_face(taylor, minimize):
+    """The minimization of taylor without its last degree-2 face and that
+    face's entries."""
+    res = minimize(taylor)
+    gone = len(res.modules[2]) - 1
+    for degree in range(2, min(3, res.top) + 1):
+        entries = res.diffs[degree].entries
+        res.diffs[degree].entries = {
+            (ri, ci): entry
+            for (ri, ci), entry in entries.items()
+            if (ci if degree == 2 else ri) != gone
+        }
+    del res.modules[2][gone]
+    return res
+
+
+def _leave_one_pair(taylor, minimize):
+    """The minimization of taylor with its last cancellation, of a pair of
+    faces of one multidegree, left undone."""
+    res = taylor
+    for e in minimize(taylor).trail[:-1]:
+        res = standard_cancellation(res, e.sigma.hdeg, e.tau, e.sigma)
+    return res
+
+
+@pytest.mark.parametrize("corrupt", [_drop_one_face, _leave_one_pair])
+@pytest.mark.parametrize("others_pass", [False, True])
+def test_verify_compares_the_minimized_faces_with_tor(
+    capsys, monkeypatch, corrupt, others_pass
+):
+    import monores.cli as cli
+
+    text = "x^3*y, y^2*z, x*z^2, x*y*z"
+    real = cli.minimize_generic
+    monkeypatch.setattr(cli, "minimize_generic", lambda res: corrupt(res, real))
+    if others_pass:
+        _pass_the_other_oracles(monkeypatch)
+    assert main(["verify", text]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"ideal: {text}\ntaylor:")
+    if others_pass:
+        assert "Tor per lcm class gives" in captured.err
+    # The real minimizer passes, with the other oracles stubbed or not.
+    monkeypatch.setattr(cli, "minimize_generic", real)
+    assert main(["verify", text]) == 0
 
 
 def test_t71_command(capsys):

@@ -11,6 +11,7 @@ Re-record, only when a change of trail is intended, with
     PYTHONPATH=src python tests/test_golden_trails.py
 """
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -102,6 +103,56 @@ def test_golden_corpus_covers_every_path():
         run["trail"] and run["trail"][0].endswith(" generic") for run in runs
     )
     assert all(len(ideal) >= 4 for ideal in GOLDEN_RECORDS.values())
+
+
+
+# The ROADMAP q = 12 ideal, random_ideal(random.Random(12), 4, 12, 4), with
+# the count, ranks and status of three of its runs and the SHA-256 of their
+# trail lines (the trail_record format joined by newlines). The records pin
+# the pivot order at a size the small corpus above does not reach; running
+# this file as a script does not rewrite them.
+AT_SIZE_IDEAL = (
+    "x^3*y^2*z^4*w^2, x*y^3*w^2, x^3*y^2*z^3*w^4, x*y^3*z^2*w, x^4*y*w^3,"
+    " x^4*z^3*w^4, x^4*y^3*z^4, y^4*w, x^4*z^4*w, x^4*y^4*z, x^2*y^2*z^4*w^3,"
+    " x^4*y^2*z^3*w"
+)
+AT_SIZE_RECORDS = {
+    "generic": (
+        2026,
+        [1, 12, 20, 10, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+        None,
+        "9ca7358f1cfbc55dbb01e66fe5307d30454c1c53fabe534e5fc10e94d729fca4",
+    ),
+    "deterministic": (
+        2026,
+        [1, 12, 20, 10, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+        "completed",
+        "b8d5136e8739cae89f7fcf3e2801e7970d221b4045f07d09cea68c9089b32f44",
+    ),
+    "random:3": (
+        1867,
+        [1, 12, 23, 24, 36, 76, 80, 51, 37, 18, 4, 0, 0],
+        "stuck",
+        "e0300f81372c6b62ae877b6f3f80b94fc9aa56cf2a161f4d626dc0a0a78d3f5f",
+    ),
+}
+AT_SIZE_WITNESS = [[2, 4], [2, 5], [4, 5, 11]]
+
+
+def test_trails_at_size_match_their_records():
+    taylor = build_taylor(parse_ideal(AT_SIZE_IDEAL).ideal)
+    det = eliminate_face_facet_pairs(taylor, Deterministic())
+    shuffled = eliminate_face_facet_pairs(taylor, SeededRandom(3))
+    runs = {
+        "generic": (minimize_generic(taylor), None),
+        "deterministic": (det.resolution, det.status),
+        "random:3": (shuffled.resolution, shuffled.status),
+    }
+    for name, (res, status) in runs.items():
+        lines = trail_record(res)["trail"]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), list(res.ranks()), status, digest) == AT_SIZE_RECORDS[name]
+    assert [list(f.members) for f in shuffled.stuck_witness] == AT_SIZE_WITNESS
 
 
 if __name__ == "__main__":
