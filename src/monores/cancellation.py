@@ -41,23 +41,26 @@ position is invertible exactly when its two faces have equal
 multidegree, for as long as it holds an entry. The working copy names
 each face's multidegree by a small int and compares those.
 
-minimize_generic makes one sweep over the columns in (degree, column
-members) order and cancels, in each column, the invertible entry with
-the least row members, if there is one. No cancellation makes an entry
-invertible in a column the sweep has passed, so this is the order of
-always taking the least (degree, column, row) pivot, and it keeps no
-index. The face/facet strategies do keep one: a sorted list of the
-invertible face/facet positions, keyed (degree, column members, row
-members), built by one scan when first read and kept current by every
-entry write and delete after that. Deterministic takes its head and
-SeededRandom a uniformly drawn element, so that order fixes their
-trails.
+minimize_generic makes one sweep over the columns in (degree, column)
+order and cancels, in each column, the invertible entry with the least
+row, if there is one. No cancellation makes an entry invertible in a
+column the sweep has passed, so this is the order of always taking the
+least (degree, column, row) pivot, and it keeps no index. The face/facet
+strategies do keep one: a sorted list of the invertible face/facet
+positions, keyed (-degree, -column, -row) so that the least pivot is
+last, built by one scan when first read and kept current by every entry
+write and delete after that. Deterministic takes the last key, an O(1)
+delete, and SeededRandom a uniformly drawn one, so that order fixes
+their trails.
 
 All public functions take and return faces, leave their input resolution
 untouched and return a fresh one; the loop drivers mutate a private
-working copy internally. That copy keys every face by its generator
-bitmask, which is unique within a degree, so two equal faces that are
-distinct objects are one key, and no face is hashed.
+working copy internally. That copy keys every face by its position in
+the input's module, as Resolution.entries does, and finds a face named
+by members by its mask. Every module is sorted by members (build_taylor
+lays it out so, and cancellation only deletes faces), so comparing
+positions as ints gives the (degree, column members, row members) order
+named above.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from math import gcd
-from operator import attrgetter, sub
+from operator import sub
 
 from .dominance import _dominance_split
 from .monomials import IdealError, MonomialIdeal, _monomial
@@ -166,7 +169,7 @@ def _script_members(face) -> tuple[int, ...]:
 Strategy = Deterministic | SeededRandom | Scripted
 
 
-_Pivot = tuple[int, tuple[int, ...], tuple[int, ...], int, int]
+_Pivot = tuple[int, int, int]
 _Scalar = int | Fraction
 
 
@@ -200,57 +203,55 @@ def _divide(a: _Scalar, b: _Scalar) -> _Scalar:
 
 
 class _Work:
-    """Mutable mask-keyed view of a resolution, for efficient cancellation.
+    """Mutable position-keyed view of a resolution, for efficient cancellation.
 
-    Every face is keyed by its generator-subset bitmask. modules holds
-    each degree's faces as an insertion-ordered mask -> Face dict, so a
-    cancelled face is deleted in O(1) and the rest keep their order.
-    classes maps each degree's masks to a small int that names the
+    Every face is keyed by its position in the source resolution's
+    module, as the source's entries are. modules holds each degree's
+    surviving faces as an insertion-ordered position -> Face dict, so a
+    cancelled face is deleted in O(1) and the rest keep their position
+    order, which is member order because the source's modules are sorted
+    by members. classes[degree][position] is a small int that names the
     face's multidegree, so a position is invertible exactly when its row
-    and column have the same class. by_col holds each differential as
-    column mask -> {row mask: scalar}, and by_row holds each row's set of
-    column masks. Faces are read from modules only for members (index
-    keys and trail events) and, in freeze, for the multidegrees that
-    give a rewritten entry its monomial. source is the resolution the
-    copy was made from, whose Entries freeze reuses where a scalar is
-    unchanged.
+    and column have the same class; masks[degree][position] is the
+    face's generator bitmask, read only by the face/facet test. by_col
+    holds each differential as column -> {row: scalar}, and by_row holds
+    each row's set of columns. Faces are read from modules only for
+    trail events and, in freeze, for the multidegrees that give a
+    rewritten entry its monomial. source is the resolution the copy was
+    made from, whose Entry at the same (row, column) key freeze reuses
+    where the scalar is unchanged.
 
     facets is None until facet_pivots() first builds it. From then on it
-    is the sorted list of invertible face/facet positions, as (degree,
-    column members, row members, row mask, column mask), and every write
-    and delete keeps it current.
+    is the sorted list of invertible face/facet positions, as (-degree,
+    -column, -row), and every write and delete keeps it current.
     """
 
     __slots__ = (
-        "source", "modules", "classes", "by_col", "by_row", "trail", "facets"
+        "source", "modules", "masks", "classes", "by_col", "by_row", "trail", "facets"
     )
 
     def __init__(self, res: Resolution) -> None:
         self.source = res
-        self.modules: list[dict[int, Face]] = [
-            {f.mask: f for f in m} for m in res.modules
-        ]
+        self.modules: list[dict[int, Face]] = [dict(enumerate(m)) for m in res.modules]
+        self.masks: list[list[int]] = [[f.mask for f in m] for m in res.modules]
         ids: dict[tuple[int, ...], int] = {}
-        self.classes: list[dict[int, int]] = [
-            {f.mask: ids.setdefault(f.mdeg.exponents, len(ids)) for f in m}
-            for m in res.modules
+        self.classes: list[list[int]] = [
+            [ids.setdefault(f.mdeg.exponents, len(ids)) for f in m] for m in res.modules
         ]
         self.by_col: list[dict[int, dict[int, _Scalar]]] = [{}]
         self.by_row: list[dict[int, set[int]]] = [{}]
         self.trail: list[CancellationEvent] = list(res.trail)
         self.facets: list[_Pivot] | None = None
-        masks = [[f.mask for f in m] for m in res.modules]
         # A Taylor complex shares a few scalar objects among all its
         # entries, so each distinct object is read once.
         values: dict[int, _Scalar] = {}
         for degree in range(1, res.top + 1):
             matrix = res.diffs[degree]
             assert matrix is not None
-            rows, cols = masks[degree - 1], masks[degree]
             by_col: defaultdict[int, dict[int, _Scalar]] = defaultdict(dict)
             by_row: defaultdict[int, set[int]] = defaultdict(set)
-            for (ri, ci), entry in matrix.entries.items():
-                row, col, scalar = rows[ri], cols[ci], entry.scalar
+            for (row, col), entry in matrix.entries.items():
+                scalar = entry.scalar
                 value = values.get(id(scalar))
                 if value is None:
                     value = values[id(scalar)] = _value(scalar)
@@ -267,22 +268,17 @@ class _Work:
         """The current state as a Resolution. A position that holds the
         scalar it held in the source keeps the source's Entry; any other
         Entry is built here, once, with the monomial mdeg(col) / mdeg(row)."""
-        positions = [{mask: i for i, mask in enumerate(m)} for m in self.modules]
-        source = self.source
-        source_positions = [
-            {f.mask: i for i, f in enumerate(m)} for m in source.modules
-        ]
+        renumbered = [{pos: i for i, pos in enumerate(m)} for m in self.modules]
         diffs: list[DifferentialMatrix | None] = [None]
         for degree in range(1, self.top + 1):
             rows, cols = self.modules[degree - 1], self.modules[degree]
-            row_pos, col_pos = positions[degree - 1], positions[degree]
-            source_rows, source_cols = source_positions[degree - 1 : degree + 1]
-            source_entries = source.diffs[degree].entries
+            row_pos, col_pos = renumbered[degree - 1], renumbered[degree]
+            source_entries = self.source.diffs[degree].entries
             entries: dict[tuple[int, int], Entry] = {}
             for col, col_entries in self.by_col[degree].items():
-                ci, source_ci, mdeg = col_pos[col], source_cols[col], cols[col].mdeg
+                ci, mdeg = col_pos[col], cols[col].mdeg
                 for row, scalar in col_entries.items():
-                    entry = source_entries.get((source_rows[row], source_ci))
+                    entry = source_entries.get((row, col))
                     if entry is None or entry.scalar != scalar:
                         quotient = tuple(
                             map(sub, mdeg.exponents, rows[row].mdeg.exponents)
@@ -294,11 +290,15 @@ class _Work:
         modules = [list(m.values()) for m in self.modules]
         return Resolution(modules, diffs, list(self.trail))
 
-    def get(self, degree: int, row: int, col: int) -> _Scalar | None:
+    def positions_by_mask(self) -> list[dict[int, int]]:
+        """Each degree's surviving faces as mask -> position."""
+        return [{masks[i]: i for i in m} for masks, m in zip(self.masks, self.modules)]
+
+    def get(self, degree: int, row: int | None, col: int | None) -> _Scalar | None:
         col_entries = self.by_col[degree].get(col)
         return None if col_entries is None else col_entries.get(row)
 
-    def invertible(self, degree: int, row: int, col: int) -> bool:
+    def invertible(self, degree: int, row: int | None, col: int | None) -> bool:
         """Whether (row, col) holds an entry and its faces share a multidegree."""
         return (
             self.get(degree, row, col) is not None
@@ -307,19 +307,12 @@ class _Work:
 
     def _facet_key(self, degree: int, row: int, col: int) -> _Pivot | None:
         """The index key of an invertible face/facet position, else None."""
-        if (
-            self.classes[degree - 1][row] != self.classes[degree][col]
-            or row & col != row
-            or (col ^ row).bit_count() != 1
-        ):
+        if self.classes[degree - 1][row] != self.classes[degree][col]:
             return None
-        return (
-            degree,
-            self.modules[degree][col].members,
-            self.modules[degree - 1][row].members,
-            row,
-            col,
-        )
+        row_mask, col_mask = self.masks[degree - 1][row], self.masks[degree][col]
+        if row_mask & col_mask != row_mask or (col_mask ^ row_mask).bit_count() != 1:
+            return None
+        return (-degree, -col, -row)
 
     def _index(self, degree: int, row: int, col: int) -> None:
         """Add a new position to the face/facet index, if it belongs there."""
@@ -340,8 +333,7 @@ class _Work:
                 for degree in range(1, self.top + 1)
                 for col, col_entries in self.by_col[degree].items()
                 for row in col_entries
-                if self.classes[degree - 1][row] == self.classes[degree][col]
-                and (key := self._facet_key(degree, row, col)) is not None
+                if (key := self._facet_key(degree, row, col)) is not None
             )
         return self.facets
 
@@ -410,19 +402,8 @@ class _Work:
                     by_row[c].remove(d)
 
     def change_of_basis(self, degree: int, row: int, col: int) -> None:
-        pivot = self.get(degree, row, col)
-        if pivot is None:
-            raise IdealError(
-                f"no entry at row {tuple(_bits(row))}, column {tuple(_bits(col))}"
-                f" of the degree-{degree} differential"
-            )
-        if self.classes[degree - 1][row] != self.classes[degree][col]:
-            raise IdealError(
-                f"pivot at row {tuple(_bits(row))}, column {tuple(_bits(col))}"
-                " is not invertible"
-            )
-        self._fill_in(degree, row, col, pivot)
-        # Pivot row and column become unit vectors meeting at the pivot.
+        """Turn an invertible pivot's row and column into unit vectors."""
+        self._fill_in(degree, row, col, self.by_col[degree][col][row])
         for d in list(self.by_row[degree][row]):
             if d != col:
                 self.delete(degree, row, d)
@@ -439,43 +420,38 @@ class _Work:
             for down in list(self.by_col[degree - 1].get(row, ())):
                 self.delete(degree - 1, down, row)
 
-    def _drop_face(self, degree: int, mask: int) -> None:
+    def _drop_face(self, degree: int, pos: int) -> None:
         """Delete a face with every entry on it: its column of diffs[degree]
         and its row of diffs[degree + 1]."""
         indexed = self.facets is not None
         if degree >= 1:
             by_row = self.by_row[degree]
-            for row in self.by_col[degree].pop(mask, ()):
+            for row in self.by_col[degree].pop(pos, ()):
                 if indexed:
-                    self._unindex(degree, row, mask)
+                    self._unindex(degree, row, pos)
                 row_cols = by_row[row]
-                row_cols.remove(mask)
+                row_cols.remove(pos)
                 if not row_cols:
                     del by_row[row]
         if degree < self.top:
             by_col = self.by_col[degree + 1]
-            for col in self.by_row[degree + 1].pop(mask, ()):
+            for col in self.by_row[degree + 1].pop(pos, ()):
                 if indexed:
-                    self._unindex(degree + 1, mask, col)
+                    self._unindex(degree + 1, pos, col)
                 col_entries = by_col[col]
-                del col_entries[mask]
+                del col_entries[pos]
                 if not col_entries:
                     del by_col[col]
-        del self.modules[degree][mask]
+        del self.modules[degree][pos]
 
     def cancel(self, degree: int, row: int, col: int, strategy_tag: str) -> None:
-        """Fill in around the pivot and delete its two faces. That is the
-        change of basis followed by deleting the split pair, without
-        first writing the unit row and column."""
-        pivot = self.get(degree, row, col)
-        if pivot is None or self.classes[degree - 1][row] != self.classes[degree][col]:
-            raise IdealError(
-                f"cannot cancel row {tuple(_bits(row))}, column {tuple(_bits(col))}:"
-                " no invertible entry there"
-            )
+        """Fill in around the pivot, which the caller has found invertible,
+        and delete its two faces. That is the change of basis followed by
+        deleting the split pair, without first writing the unit row and
+        column."""
+        pivot = self.by_col[degree][col][row]
         sigma, tau = self.modules[degree][col], self.modules[degree - 1][row]
         self._fill_in(degree, row, col, pivot)
-        # The column goes first: the pivot's index key reads both faces.
         self._drop_face(degree, col)
         self._drop_face(degree - 1, row)
         self.trail.append(
@@ -484,22 +460,43 @@ class _Work:
 
 
 def find_invertible_entries(res: Resolution) -> list[tuple[int, Face, Face]]:
-    """All invertible positions, ordered by (degree, column, row)."""
-    found = [
-        (degree, res.modules[degree - 1][ri], res.modules[degree][ci])
+    """All invertible positions, ordered by (degree, column, row) position,
+    which is (degree, column members, row members) order in a resolution
+    whose modules are sorted by members."""
+    found = sorted(
+        (degree, ci, ri)
         for degree in range(1, res.top + 1)
         for (ri, ci), entry in res.diffs[degree].entries.items()
         if entry.is_invertible
+    )
+    return [
+        (degree, res.modules[degree - 1][ri], res.modules[degree][ci])
+        for degree, ci, ri in found
     ]
-    return sorted(found, key=lambda t: (t[0], t[2].members, t[1].members))
+
+
+def _named_pivot(
+    res: Resolution, degree: int, row_face: Face, col_face: Face
+) -> tuple[_Work, int | None, int | None, str]:
+    """A working copy of res, the positions of the pivot's faces found by
+    mask (None for an absent face) and the pivot's place for errors."""
+    work = _Work(res)
+    by_mask = work.positions_by_mask()
+    row = by_mask[degree - 1].get(row_face.mask)
+    col = by_mask[degree].get(col_face.mask)
+    return work, row, col, f"row {row_face.members}, column {col_face.members}"
 
 
 def standard_change_of_basis(
     res: Resolution, degree: int, row_face: Face, col_face: Face
 ) -> Resolution:
     """Apply the pivot change of basis and return the rewritten resolution."""
-    work = _Work(res)
-    work.change_of_basis(degree, row_face.mask, col_face.mask)
+    work, row, col, at = _named_pivot(res, degree, row_face, col_face)
+    if work.get(degree, row, col) is None:
+        raise IdealError(f"no entry at {at} of the degree-{degree} differential")
+    if not work.invertible(degree, row, col):
+        raise IdealError(f"pivot at {at} is not invertible")
+    work.change_of_basis(degree, row, col)
     return work.freeze()
 
 
@@ -507,8 +504,10 @@ def standard_cancellation(
     res: Resolution, degree: int, row_face: Face, col_face: Face
 ) -> Resolution:
     """Change basis around the pivot, then delete the face/row pair."""
-    work = _Work(res)
-    work.cancel(degree, row_face.mask, col_face.mask, "manual")
+    work, row, col, at = _named_pivot(res, degree, row_face, col_face)
+    if not work.invertible(degree, row, col):
+        raise IdealError(f"cannot cancel {at}: no invertible entry there")
+    work.cancel(degree, row, col, "manual")
     return work.freeze()
 
 
@@ -518,37 +517,41 @@ def eliminate_face_facet_pairs(
     """Repeatedly cancel invertible face/facet pairs, as the strategy directs."""
     work = _Work(res)
     if isinstance(strategy, Scripted):
+        by_mask = work.positions_by_mask()
         for sigma_members, tau_members in strategy.pairs:
             degree = len(sigma_members)
+            sigma_mask, tau_mask = _mask_of(sigma_members), _mask_of(tau_members)
             sigma, tau = (
-                work.modules[len(m)].get(_mask_of(m)) if len(m) <= work.top else None
-                for m in (sigma_members, tau_members)
+                by_mask[len(m)].get(mask) if len(m) <= work.top else None
+                for m, mask in ((sigma_members, sigma_mask), (tau_members, tau_mask))
             )
             problem = None
             if sigma is None or tau is None:
                 problem = "face not present"
-            elif not tau.is_facet_of(sigma):
+            elif len(tau_members) != degree - 1 or tau_mask & sigma_mask != tau_mask:
                 problem = "not face and facet"
-            elif not work.invertible(degree, tau.mask, sigma.mask):
+            elif not work.invertible(degree, tau, sigma):
                 problem = "no invertible entry there"
             if problem is not None:
                 raise IdealError(
                     f"scripted pair ({list(sigma_members)}, {list(tau_members)})"
                     f" is not cancellable: {problem}"
                 )
-            work.cancel(degree, tau.mask, sigma.mask, "scripted")
+            work.cancel(degree, tau, sigma, "scripted")
+            del by_mask[degree][sigma_mask], by_mask[degree - 1][tau_mask]
     else:
         # The index is kept current in place, so each step reads it anew.
+        # Keys are negated: the least pivot is the last element.
         facets = work.facet_pivots()
         if isinstance(strategy, SeededRandom):
             rng, tag = random.Random(strategy.seed), f"random:{strategy.seed}"
             while facets:
-                degree, _, _, row, col = facets[rng.randrange(len(facets))]
-                work.cancel(degree, row, col, tag)
+                degree, col, row = facets[~rng.randrange(len(facets))]
+                work.cancel(-degree, -row, -col, tag)
         else:
             while facets:
-                degree, _, _, row, col = facets[0]
-                work.cancel(degree, row, col, "deterministic")
+                degree, col, row = facets[-1]
+                work.cancel(-degree, -row, -col, "deterministic")
 
     resolution = work.freeze()
     # Classes come smallest exponent vector first, faces in sort_key order.
@@ -562,28 +565,24 @@ def eliminate_face_facet_pairs(
 def minimize_generic(res: Resolution) -> Resolution:
     """Cancel invertible entries (facet-related or not) until none remain.
 
-    One sweep over the columns in (degree, column members) order cancels
-    each column's invertible entry with the least row members, if it has
+    One sweep over the columns in (degree, column) position order cancels
+    each column's invertible entry with the least row position, if it has
     one; no cancellation makes an entry invertible in a column already
-    passed. The result has no invertible entries and is therefore a
-    minimal resolution. Pivots are exact rationals, so the surviving
-    (degree, multidegree) multiset is the multigraded Betti data over Q.
+    passed. Modules are sorted by members, so that is (degree, column
+    members, row members) order. The result has no invertible entries and
+    is therefore a minimal resolution. Pivots are exact rationals, so the
+    surviving (degree, multidegree) multiset is the multigraded Betti data
+    over Q.
     """
     work = _Work(res)
     for degree in range(1, work.top + 1):
-        rows, faces = work.modules[degree - 1], work.modules[degree].values()
         row_classes, col_classes = work.classes[degree - 1], work.classes[degree]
         by_col = work.by_col[degree]
-        for sigma in sorted(faces, key=attrgetter("members")):
-            col, row = sigma.mask, None
+        for col in list(work.modules[degree]):
             k = col_classes[col]
-            for r in by_col.get(col, ()):
-                if row_classes[r] == k and (
-                    row is None or rows[r].members < rows[row].members
-                ):
-                    row = r
-            if row is not None:
-                work.cancel(degree, row, col, "generic")
+            rows = [r for r in by_col.get(col, ()) if row_classes[r] == k]
+            if rows:
+                work.cancel(degree, min(rows), col, "generic")
     return work.freeze()
 
 

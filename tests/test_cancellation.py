@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
@@ -82,7 +83,10 @@ def test_find_invertible_none_for_minimal():
 def reference_facet_positions(work):
     """The full rescan and sort that the face/facet index replaces: every
     entry whose row face is a facet of its column face and has its
-    multidegree, read from the faces themselves."""
+    multidegree, read from the faces themselves, as the index keys it,
+    (-degree, -column, -row). The keys come in descending (degree, column
+    members, row members) order, so the index must hold the least pivot
+    in member order last."""
     found = []
     for degree in range(1, work.top + 1):
         rows, cols = work.modules[degree - 1], work.modules[degree]
@@ -90,8 +94,9 @@ def reference_facet_positions(work):
             for row in col_entries:
                 row_face, col_face = rows[row], cols[col]
                 if row_face.is_facet_of(col_face) and row_face.mdeg == col_face.mdeg:
-                    found.append((degree, col_face.members, row_face.members, row, col))
-    return sorted(found)
+                    by_members = (degree, col_face.members, row_face.members)
+                    found.append((by_members, (-degree, -col, -row)))
+    return [key for _, key in sorted(found, reverse=True)]
 
 
 def assert_rows_mirror_columns(work):
@@ -181,15 +186,30 @@ def test_pivot_index_through_non_facet_fill_in():
     assert steps.count("cancel") == 2 + 1
 
 
-def test_work_keys_faces_by_mask():
-    outcome = eliminate_face_facet_pairs(build_taylor(I("x^2, x*y, y^3")))
-    work = _Work(outcome.resolution)
-    keys = [k for m in work.modules + work.classes for k in m]
-    for d in work.by_col + work.by_row:
-        for key, inner in d.items():
-            keys += [key, *inner]
+def test_work_keys_faces_by_position():
+    res = eliminate_face_facet_pairs(build_taylor(I("x^2, x*y, y^3"))).resolution
+    work = _Work(res)
+    # Faces, masks and classes sit at the positions of the input's modules.
+    assert [list(m.items()) for m in work.modules] == [
+        list(enumerate(m)) for m in res.modules
+    ]
+    assert work.masks == [[f.mask for f in m] for m in res.modules]
+    faces = [(d, i, f) for d, m in enumerate(res.modules) for i, f in enumerate(m)]
+    for (d, i, f), (e, j, g) in combinations(faces, 2):
+        assert (work.classes[d][i] == work.classes[e][j]) == (f.mdeg == g.mdeg)
+    # Entries are read straight from the input's (row, column) keys.
+    for degree in range(1, res.top + 1):
+        entries = res.diffs[degree].entries
+        held = {
+            (row, col): x
+            for col, col_entries in work.by_col[degree].items()
+            for row, x in col_entries.items()
+        }
+        assert held == {key: e.scalar for key, e in entries.items()}
+    dicts = work.by_col + work.by_row
+    keys = [key for d in dicts for key in d]
+    keys += [k for d in dicts for inner in d.values() for k in inner]
     assert keys and all(type(k) is int for k in keys)
-    assert all(k == face.mask for m in work.modules for k, face in m.items())
     # Taylor's unit scalars are held as ints, not as Fractions.
     scalars = [x for d in work.by_col for col in d.values() for x in col.values()]
     assert scalars and all(type(x) is int for x in scalars)
@@ -205,6 +225,33 @@ def test_equal_faces_hash_equal():
     taylor_face = build_taylor(I("x^2, xy, y^3")).find_face((0, 2))
     again = build_taylor(I("x^2, xy, y^3")).find_face([2, 0])
     assert taylor_face is not again and hash(taylor_face) == hash(again)
+
+
+def modules_sorted_by_members(res):
+    return all(a.members < b.members for m in res.modules for a, b in zip(m, m[1:]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(crowded_ideals(), st.integers(0, 2**16))
+def test_every_resolution_keeps_its_modules_sorted_by_members(ideal, seed):
+    # The kernel orders pivots by module position, which is member order
+    # only while every module is sorted by members.
+    taylor = build_taylor(ideal)
+    results = [taylor, minimize_generic(taylor)]
+    for strategy in (Deterministic(), SeededRandom(seed)):
+        results.append(eliminate_face_facet_pairs(taylor, strategy).resolution)
+    script = [(e.sigma.members, e.tau.members) for e in results[-1].trail]
+    half = eliminate_face_facet_pairs(taylor, Scripted(script[: len(script) // 2]))
+    results += [half.resolution, minimize_generic(half.resolution)]
+    for res in (taylor, half.resolution):
+        for degree, row, col in find_invertible_entries(res)[:2]:
+            results.append(standard_cancellation(res, degree, row, col))
+            results.append(standard_change_of_basis(res, degree, row, col))
+    assert all(map(modules_sorted_by_members, results))
+    # So find_invertible_entries, which sorts positions, lists member order.
+    for res in results:
+        keys = [(d, c.members, r.members) for d, r, c in find_invertible_entries(res)]
+        assert keys == sorted(keys)
 
 
 # --- the fill-in loop against its reference ---------------------------------------
@@ -730,10 +777,17 @@ def test_scripted_normalizes_member_order():
 
 def test_scripted_rejects_uncancellable_pair():
     res = build_taylor(I("x^2y^2, xz, yz"))
-    with pytest.raises(IdealError, match="not cancellable"):
-        eliminate_face_facet_pairs(res, Scripted((((0, 1, 2), (1, 2)),)))
-    with pytest.raises(IdealError, match="not cancellable"):
-        eliminate_face_facet_pairs(res, Scripted((((0, 1, 3), (0, 1)),)))
+    for pairs, problem in [
+        ([[(0, 1, 2), (1, 2)]], "no invertible entry there"),
+        ([[(0, 1, 3), (0, 1)]], "face not present"),
+        ([[(0, 1, 2), (0,)]], "not face and facet"),
+        # A cancelled face is gone for the rest of the script.
+        ([[(0, 1, 2), (0, 1)]] * 2, "face not present"),
+    ]:
+        sigma, tau = pairs[-1]
+        message = f"scripted pair ({list(sigma)}, {list(tau)}) is not cancellable"
+        with pytest.raises(IdealError, match=f"^{re.escape(message)}: {problem}$"):
+            eliminate_face_facet_pairs(res, Scripted(pairs))
 
 
 def test_elimination_order_independent_for_semidominant():
