@@ -17,15 +17,14 @@ spans a split rank-one subcomplex that can be deleted outright: that
 deletion is a cancellation, and it shrinks two consecutive free modules
 by one each while the quotient stays a resolution of the same module.
 
-The arithmetic is exact throughout. A working copy holds each scalar
-as a Python int while it is integral and as a Fraction otherwise. Taylor
-entries start at ±1, and in practice their pivots stay ±1, so their
-values stay ints and a fill-in step is int arithmetic alone. A
-division by ±1 is a sign change; any other keeps a numerator and a
-denominator and builds a Fraction only when the result is not integral,
-so no float ever appears. Entry.scalar and the trail's pivot scalars are
-always Fractions: the Entries are built once, when the working copy is
-frozen into a Resolution.
+The arithmetic is exact throughout. Every scalar, in an Entry, in the
+working copy and in the trail, is a Python int while it is integral and
+a Fraction otherwise, so the working copy takes Entry scalars as they
+are and freezes its own back into Entries unchanged. Taylor entries
+start at ±1, and in practice their pivots stay ±1, so their values stay
+ints and a fill-in step is int arithmetic alone. A division by ±1 is a
+sign change; any other keeps a numerator and a denominator and builds a
+Fraction only when the result is not integral, so no float ever appears.
 
 Strategies drive which pivots get cancelled. The face/facet eliminator
 only cancels pivots whose row face is a facet of its column face (that
@@ -82,6 +81,7 @@ from .taylor import (
     Face,
     Resolution,
     _bits,
+    _Scalar,
     _entry,
     _face_from_mask,
     _mask_of,
@@ -97,7 +97,7 @@ class CancellationEvent:
 
     sigma: Face
     tau: Face
-    pivot_scalar: Fraction
+    pivot_scalar: _Scalar
     strategy_tag: str
 
 
@@ -170,17 +170,6 @@ Strategy = Deterministic | SeededRandom | Scripted
 
 
 _Pivot = tuple[int, int, int]
-_Scalar = int | Fraction
-
-
-def _value(x: Fraction) -> _Scalar:
-    """x as an int when it is integral, else x itself."""
-    return x.numerator if x.denominator == 1 else x
-
-
-def _fraction(x: _Scalar) -> Fraction:
-    """x as the Fraction an Entry stores."""
-    return x if type(x) is Fraction else Fraction(x)
 
 
 def _minus(current: _Scalar | None, n: int, m: int) -> _Scalar:
@@ -242,20 +231,13 @@ class _Work:
         self.by_row: list[dict[int, set[int]]] = [{}]
         self.trail: list[CancellationEvent] = list(res.trail)
         self.facets: list[_Pivot] | None = None
-        # A Taylor complex shares a few scalar objects among all its
-        # entries, so each distinct object is read once.
-        values: dict[int, _Scalar] = {}
         for degree in range(1, res.top + 1):
             matrix = res.diffs[degree]
             assert matrix is not None
             by_col: defaultdict[int, dict[int, _Scalar]] = defaultdict(dict)
             by_row: defaultdict[int, set[int]] = defaultdict(set)
             for (row, col), entry in matrix.entries.items():
-                scalar = entry.scalar
-                value = values.get(id(scalar))
-                if value is None:
-                    value = values[id(scalar)] = _value(scalar)
-                by_col[col][row] = value
+                by_col[col][row] = entry.scalar
                 by_row[row].add(col)
             self.by_col.append(dict(by_col))
             self.by_row.append(dict(by_row))
@@ -284,7 +266,7 @@ class _Work:
                             map(sub, mdeg.exponents, rows[row].mdeg.exponents)
                         )
                         monomial = _monomial(mdeg.vars, quotient)
-                        entry = _entry(_fraction(scalar), monomial, not any(quotient))
+                        entry = _entry(scalar, monomial, not any(quotient))
                     entries[row_pos[row], ci] = entry
             diffs.append(DifferentialMatrix(entries))
         modules = [list(m.values()) for m in self.modules]
@@ -454,9 +436,7 @@ class _Work:
         self._fill_in(degree, row, col, pivot)
         self._drop_face(degree, col)
         self._drop_face(degree - 1, row)
-        self.trail.append(
-            CancellationEvent(sigma, tau, _fraction(pivot), strategy_tag)
-        )
+        self.trail.append(CancellationEvent(sigma, tau, pivot, strategy_tag))
 
 
 def find_invertible_entries(res: Resolution) -> list[tuple[int, Face, Face]]:
@@ -479,7 +459,10 @@ def _named_pivot(
     res: Resolution, degree: int, row_face: Face, col_face: Face
 ) -> tuple[_Work, int | None, int | None, str]:
     """A working copy of res, the positions of the pivot's faces found by
-    mask (None for an absent face) and the pivot's place for errors."""
+    mask (None for an absent face) and the pivot's place for errors. A
+    degree outside 1..res.top is refused before anything is built."""
+    if not 1 <= degree <= res.top:
+        raise IdealError(f"no degree-{degree} differential: degrees run 1..{res.top}")
     work = _Work(res)
     by_mask = work.positions_by_mask()
     row = by_mask[degree - 1].get(row_face.mask)

@@ -124,14 +124,6 @@ def largest_dominant_subset_with(
             "largest_dominant_subset_with needs a semidominant ideal and its"
             " nondominant generator"
         )
-    return _largest_dominant_subset_with(ideal, nondominant_index)
-
-
-def _largest_dominant_subset_with(
-    ideal: MonomialIdeal, nondominant_index: int
-) -> tuple[int, tuple[int, ...]]:
-    """`largest_dominant_subset_with` on an ideal already classified as
-    semidominant with that nondominant generator."""
     gens = ideal.generators
     beaten_by_n = (
         tuple(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .dominance import _dominance_split, _largest_dominant_subset_with, classify
+from .dominance import _dominance_split, classify, largest_dominant_subset_with
 from .monomials import IdealError, MonomialIdeal, lcm
 from .taylor import (
     Face,
@@ -132,7 +132,7 @@ def invariants_semidominant(ideal: MonomialIdeal) -> InvariantsReport:
         reg = max(reg, mdegs[mask | n_bit].total_degree() - size - 1)
 
     betti = strip_trailing_zeros(a + b for a, b in zip(b_counts + [0], [0] + b_counts))
-    pd, _witness = _largest_dominant_subset_with(ideal, n_index)
+    pd, _witness = largest_dominant_subset_with(ideal, n_index)
     if len(betti) - 1 != pd:
         raise OracleDisagreementError(
             "semidominant closed forms disagree on projective dimension"

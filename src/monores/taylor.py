@@ -47,6 +47,9 @@ from .monomials import (
 # Hard cap for full Taylor construction: 2^q faces with sparse matrices.
 TAYLOR_MAX_GENERATORS = 20
 
+# An exact scalar: an int while it is integral, a Fraction otherwise.
+_Scalar = int | Fraction
+
 
 @dataclass(frozen=True)
 class Face:
@@ -114,11 +117,14 @@ def _bits(mask: int) -> Iterator[int]:
 class Entry:
     """One sparse matrix entry: a nonzero exact scalar times a monomial.
 
+    The scalar is stored as an int while it is integral (Fraction(4, 2)
+    becomes 2) and as a Fraction otherwise.
+
     is_invertible (the monomial part is 1) is computed once, at
     construction; like Face.mask it takes no part in ==, hash or repr.
     """
 
-    scalar: Fraction
+    scalar: _Scalar
     monomial: Monomial
     is_invertible: bool = field(init=False, compare=False, repr=False)
 
@@ -126,18 +132,19 @@ class Entry:
         scalar = self.scalar
         # Only exact scalars: bool is an int subclass, and a float or a str
         # would be silently rounded or parsed by Fraction.
-        if type(scalar) is not Fraction:
-            if isinstance(scalar, bool) or not isinstance(scalar, (int, Fraction)):
-                raise IdealError(f"entry scalars are ints or Fractions, got {scalar!r}")
-            object.__setattr__(self, "scalar", Fraction(scalar))
-        if not self.scalar:
+        if isinstance(scalar, bool) or not isinstance(scalar, (int, Fraction)):
+            raise IdealError(f"entry scalars are ints or Fractions, got {scalar!r}")
+        if not scalar:
             raise IdealError("zero entries are represented by absence")
+        if scalar.denominator == 1:
+            object.__setattr__(self, "scalar", int(scalar))
         object.__setattr__(self, "is_invertible", self.monomial.is_unit)
 
 
-def _entry(scalar: Fraction, monomial: Monomial, invertible: bool) -> Entry:
-    """An Entry built without validation, from a nonzero Fraction and the
-    invertibility of monomial, which the caller already knows."""
+def _entry(scalar: _Scalar, monomial: Monomial, invertible: bool) -> Entry:
+    """An Entry built without validation, from a nonzero scalar, an int
+    while it is integral, and the invertibility of monomial, which the
+    caller already knows."""
     entry = object.__new__(Entry)
     object.__setattr__(entry, "scalar", scalar)
     object.__setattr__(entry, "monomial", monomial)
@@ -239,8 +246,6 @@ def build_taylor(ideal: MonomialIdeal) -> Resolution:
     q = len(ideal)
     mdegs = _mdeg_by_mask(ideal)
 
-    plus, minus = Fraction(1), Fraction(-1)
-
     modules: list[list[Face]] = []
     index_of: list[dict[int, int]] = []  # face mask -> position in its degree
     for degree in range(q + 1):
@@ -268,7 +273,7 @@ def build_taylor(ideal: MonomialIdeal) -> Resolution:
                 entry = shared.get((pos & 1, quotient))
                 if entry is None:
                     entry = shared[pos & 1, quotient] = _entry(
-                        minus if pos & 1 else plus,
+                        -1 if pos & 1 else 1,
                         _monomial(vars, quotient),
                         not any(quotient),
                     )

@@ -12,6 +12,17 @@ def I(text):
     return parse_ideal(text).ideal
 
 
+# The Stanley-Reisner ideal of the 6-vertex triangulation of RP^2, whose
+# Betti numbers depend on the field: (1, 10, 15, 6) over Q, and over GF(2)
+# the class of abcdef adds beta_3 = beta_4 = 1.
+RP2 = "abd, abe, ace, acf, adf, bcd, bcf, bef, cde, def"
+
+
+@pytest.fixture(scope="session")
+def rp2():
+    return I(RP2)
+
+
 @st.composite
 def ideals(draw, min_vars=2, max_vars=4, min_gens=1, max_gens=5, max_exp=3):
     """Random minimal monomial ideals of small desk size."""

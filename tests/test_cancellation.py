@@ -339,18 +339,22 @@ def work_state(work):
     return res.modules, entries, res.trail, work.facets
 
 
+def int_while_integral(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
 def assert_same_work(work, reference):
     assert work_state(work) == work_state(reference)
     assert_rows_mirror_columns(work)
-    # The kernel holds a scalar as an int exactly while it is integral.
+    # The kernel and the Entries hold a scalar as an int exactly while it
+    # is integral.
     for d in work.by_col[1:]:
         for col_entries in d.values():
-            for x in col_entries.values():
-                assert type(x) is int or (type(x) is Fraction and x.denominator != 1)
+            assert all(map(int_while_integral, col_entries.values()))
     res = work.freeze()
     for j, matrix in enumerate(res.diffs[1:], 1):
         for (ri, ci), entry in matrix.entries.items():
-            assert type(entry.scalar) is Fraction
+            assert int_while_integral(entry.scalar)
             assert entry.is_invertible == entry.monomial.is_unit
             col_face, row_face = res.modules[j][ci], res.modules[j - 1][ri]
             assert entry.monomial == col_face.mdeg.exact_div(row_face.mdeg)
@@ -524,8 +528,8 @@ def test_fill_in_hands_integers_over_to_fractions(pivot):
         out = standard_cancellation(res, 2, rows[0], cols[0])
         standard_change_of_basis(res, 2, rows[0], cols[0])
     assert steps == ["cancel", "change_of_basis"]
-    assert [e.pivot_scalar for e in out.trail] == [Fraction(pivot)]
-    assert type(out.trail[0].pivot_scalar) is Fraction
+    assert [e.pivot_scalar for e in out.trail] == [pivot]
+    assert type(out.trail[0].pivot_scalar) is int
     scalars = {
         (out.modules[1][ri].members, out.modules[2][ci].members): e.scalar
         for (ri, ci), e in out.diffs[2].entries.items()
@@ -534,7 +538,7 @@ def test_fill_in_hands_integers_over_to_fractions(pivot):
         ((1,), (0, 2)): Fraction(-3, pivot),
         ((1,), (1, 2)): 1 - Fraction(1, pivot),
     }
-    assert all(type(x) is Fraction for x in scalars.values())
+    assert all(map(int_while_integral, scalars.values()))
 
 
 # --- standard change of basis ---------------------------------------------------
@@ -648,6 +652,19 @@ def test_pivot_moves_require_an_entry():
         match=r"^cannot cancel row \(0,\), column \(1, 2\): no invertible entry there$",
     ):
         standard_cancellation(res, 2, row, col)
+
+
+@pytest.mark.parametrize("degree", [-1, 0, 4])
+@pytest.mark.parametrize("move", [standard_cancellation, standard_change_of_basis])
+def test_pivot_moves_refuse_a_degree_outside_the_resolution(move, degree):
+    # Degree 4 is top + 1; -1 would otherwise index the module list from
+    # its end.
+    res = build_taylor(I("x^2, x*y, y^3"))
+    row, col = res.find_face((0, 2)), res.find_face((0, 1, 2))
+    with pytest.raises(
+        IdealError, match=rf"^no degree-{degree} differential: degrees run 1\.\.3$"
+    ):
+        move(res, degree, row, col)
 
 
 # --- standard cancellation -------------------------------------------------------

@@ -544,6 +544,11 @@ def test_minimize_command_random_seed(capsys):
     assert payload["ranks"] == [1, 4, 3, 0, 0]
 
 
+def test_minimize_command_rejects_a_non_integer_seed(capsys):
+    assert main(["minimize", "x^2, x*y, y^3", "--strategy", "random:x"]) == 1
+    assert "strategy seed must be an integer, got 'x'" in capsys.readouterr().err
+
+
 def test_scarf_command(capsys):
     payload = run_json(capsys, ["scarf", "x^2y^2, xz, yz"])
     assert payload["counts"] == [1, 3, 1]
@@ -558,6 +563,14 @@ def test_invariants_command(capsys):
     assert payload["agree"] is True
     assert payload["closed_form"]["sources"]["betti"] == "closed-form (semidominant)"
     assert payload["from_resolution"]["betti"] == [1, 4, 3]
+
+
+def test_invariants_command_without_a_closed_form(capsys):
+    # Every generator of xy, yz, xz is nondominant (p = 3): no closed form.
+    payload = run_json(capsys, ["invariants", "xy, yz, xz"])
+    assert payload["closed_form"] is None
+    assert payload["betti"] == payload["from_resolution"]["betti"] == [1, 3, 2]
+    assert payload["sources"] == payload["from_resolution"]["sources"]
 
 
 def test_verify_command(capsys):

@@ -40,6 +40,16 @@ def test_dominant_variables_examples():
     assert dominant_variables(1, sub.generators) == {sub.vars.index("y")}
 
 
+def test_dominant_variables_empty_reference_is_error():
+    with pytest.raises(IdealError, match="^reference set is empty$"):
+        dominant_variables(0, [])
+
+
+def test_random_class_rejects_an_unknown_class():
+    with pytest.raises(IdealError, match="^unknown ideal class 'semi3'$"):
+        random_ideal_of_class(random.Random(0), 3, 4, 2, cls="semi3")
+
+
 def test_dominant_variables_singleton_reference():
     vars = VariableSet(("x", "y"))
     m = Monomial(vars, (2, 1))

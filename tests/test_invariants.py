@@ -9,6 +9,7 @@ from conftest import I, ideals, ideals_of_every_class, random_minimal_ideal
 from monores.cancellation import check_theorem71_hypothesis, minimize_generic
 from monores.dominance import classify
 from monores.invariants import (
+    InvariantsReport,
     betti_dominant,
     invariants_from_resolution,
     invariants_semidominant,
@@ -141,6 +142,15 @@ def test_invariants_semidominant_small():
     assert betti_oracle(I("x^2, y^3, xy")) == (1, 3, 2)
 
 
+def test_invariants_report_refuses_inconsistent_numbers():
+    with pytest.raises(IdealError, match=r"^betti\[0\] must be 1$"):
+        InvariantsReport((2, 3), 1, 0, ())
+    # pd names a degree below the end, or one whose Betti number is 0.
+    for betti, pd in (((1, 3, 2), 1), ((1, 3, 0), 2)):
+        with pytest.raises(IdealError, match="^pd must index the last nonzero"):
+            InvariantsReport(betti, pd, 0, ())
+
+
 def test_invariants_semidominant_rejects_other_classes():
     with pytest.raises(IdealError):
         invariants_semidominant(I("x^2, y^3"))
@@ -149,13 +159,13 @@ def test_invariants_semidominant_rejects_other_classes():
 def test_invariants_semidominant_pd_cross_check_can_fail(monkeypatch):
     import monores.invariants as invariants
 
-    real = invariants._largest_dominant_subset_with
+    real = invariants.largest_dominant_subset_with
 
     def one_too_many(ideal, n_index):
         size, witness = real(ideal, n_index)
         return size + 1, witness
 
-    monkeypatch.setattr(invariants, "_largest_dominant_subset_with", one_too_many)
+    monkeypatch.setattr(invariants, "largest_dominant_subset_with", one_too_many)
     with pytest.raises(OracleDisagreementError):
         invariants_semidominant(I("x^3y, y^2z, xz^2, xyz"))
 

@@ -127,6 +127,8 @@ def test_variable_set_validation():
         VariableSet(())
     with pytest.raises(IdealError):
         VariableSet(("x", "x"))
+    with pytest.raises(IdealError, match="^variable names must be nonempty$"):
+        VariableSet(("x", ""))
 
 
 def test_exact_div():
@@ -216,6 +218,8 @@ def test_different_variable_sets_are_rejected():
     for op in (m(1).lcm, m(1).__mul__, m(1).exact_div, m(1).divides):
         with pytest.raises(IdealError, match="different variable sets"):
             op(a)
+    with pytest.raises(IdealError, match="^generator uses a different variable set$"):
+        MonomialIdeal(XYZ, (m(1), Monomial(other, (0, 1, 0))))
     # Equal variable sets that are distinct objects still combine.
     same = Monomial(VariableSet(("x", "y", "z")), (1, 0, 0))
     assert m(2).exact_div(same) == m(1)
@@ -250,8 +254,9 @@ def test_entry_rejects_zero_and_wraps_scalars():
     for zero in (0, Fraction(0), Fraction(0, 7)):
         with pytest.raises(IdealError, match="absence"):
             Entry(zero, mono)
-    two = Entry(2, mono)
-    assert type(two.scalar) is Fraction and two.scalar == Fraction(2)
+    # An integral scalar is stored as an int, a Fraction of denominator 1 too.
+    for two in (Entry(2, mono), Entry(Fraction(4, 2), mono)):
+        assert type(two.scalar) is int and two.scalar == 2
     half = Fraction(1, 2)
     assert Entry(half, mono).scalar is half
     # Only exact scalars: a float would be rounded, a str parsed, a bool read as 1.

@@ -8,7 +8,13 @@ from conftest import I, ideals
 from monores import taylor
 from monores.cancellation import find_invertible_entries
 from monores.dominance import classify
-from monores.monomials import CapExceededError, Monomial, MonomialIdeal, VariableSet
+from monores.monomials import (
+    CapExceededError,
+    IdealError,
+    Monomial,
+    MonomialIdeal,
+    VariableSet,
+)
 from monores.taylor import (
     Entry,
     Face,
@@ -103,6 +109,20 @@ def test_face_order_is_lexicographic():
     assert [f.members for f in res.modules[1]] == [(0,), (1,), (2,)]
     assert [f.members for f in res.modules[2]] == [(0, 1), (0, 2), (1, 2)]
     assert res.trail == []
+
+
+def test_face_members_must_strictly_increase():
+    unit = VariableSet(("x",)).unit()
+    for members in ((1, 0), (1, 1)):
+        with pytest.raises(IdealError, match="strictly increasing"):
+            Face(members, unit)
+
+
+def test_find_face_of_an_absent_face():
+    res = build_taylor(I("x^2, x*y, y^3"))
+    # Generator 3 does not exist; a 4-member face is past the top degree.
+    assert res.find_face((0, 3)) is None
+    assert res.find_face((0, 1, 2, 3)) is None
 
 
 def test_modules_zero_is_empty_face():
@@ -234,7 +254,7 @@ def test_taylor_entries_cache_invertibility_and_are_shared(ideal):
     # position with the same sign and quotient.
     entries = [e for d in build_taylor(ideal).diffs[1:] for e in d.entries.values()]
     for entry in entries:
-        assert type(entry.scalar) is Fraction
+        assert type(entry.scalar) is int
         assert entry.is_invertible == entry.monomial.is_unit
     assert len({id(e) for e in entries}) == len(set(entries))
 

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import I, ideals, ideals_of_every_class, random_minimal_ideal
+from conftest import RP2, I, ideals, ideals_of_every_class, random_minimal_ideal
 from monores import verify
 from monores.cancellation import (
     Deterministic,
@@ -17,14 +17,17 @@ from monores.cancellation import (
     standard_cancellation,
     standard_change_of_basis,
 )
+from monores.cli import main
 from monores.monomials import MAX_EXPONENT, CapExceededError, Monomial
 from monores.taylor import (
     DifferentialMatrix,
     Entry,
     Face,
     Resolution,
+    _bits,
     build_taylor,
     lcm_lattice,
+    strip_trailing_zeros,
 )
 from monores.verify import (
     StrandReport,
@@ -573,7 +576,7 @@ def scale_face(res, degree, index, factor):
         matrix = out.diffs[degree + 1]
         for key, e in list(matrix.entries.items()):
             if key[0] == index:
-                matrix.entries[key] = Entry(e.scalar / factor, e.monomial)
+                matrix.entries[key] = Entry(Fraction(e.scalar) / factor, e.monomial)
     return out
 
 
@@ -687,6 +690,47 @@ def test_strands_when_d_squared_vanishes_only_outside_the_strand():
     assert at_x.dims == (1, 1, 1, 1)
     assert at_x.ranks == (0, 1, 1, 1)
     assert not at_x.exact and at_x.failure_degree == 1
+
+
+_real_report = _StrandIndex.report
+
+
+def trusting_gf2_report(self, b):
+    """_StrandIndex.report that takes the GF(2) ranks as they come wherever
+    the certificate's preconditions hold, with no exact fallback when they
+    miss the exactness equations."""
+    divisors = self._divisors(b)
+    present = [divisors >> o & ((1 << s) - 1) for o, s in zip(self.offsets, self.sizes)]
+    if not (divisors >> self.offsets[-1] and self.certifiable):
+        return _real_report(self, b)
+    dims = [mask.bit_count() for mask in present]
+    ranks = [0] + [
+        verify._gf2_rank([odd[ci] for ci in _bits(mask)])
+        for odd, mask in zip(self.odd[1:], present[1:])
+    ]
+    failure = verify._unmet_degree(dims, ranks)
+    return StrandReport(b, tuple(dims), tuple(ranks), failure is None, failure)
+
+
+def test_rp2_resolves_over_q_with_a_pivot_of_2(rp2, capsys, monkeypatch):
+    # Over GF(2) the class of abcdef carries homology that Q does not see,
+    # so a GF(2)-only strand oracle would refuse the correct resolution.
+    taylor = build_taylor(rp2)
+    minimal = minimize_generic(taylor)
+    assert strip_trailing_zeros(minimal.ranks()) == betti_oracle(rp2) == (1, 10, 15, 6)
+    other = [e.pivot_scalar for e in minimal.trail if e.pivot_scalar not in (1, -1)]
+    assert other == [2] and type(other[0]) is int
+    assert main(["verify", RP2]) == 0
+    capsys.readouterr()
+
+    monkeypatch.setattr(_StrandIndex, "report", trusting_gf2_report)
+    # Every Taylor strand is GF(2)-certified; one minimal strand needs the
+    # exact ranks.
+    assert strands_all_exact(strand_exactness(taylor, rp2))
+    failed = [r for r in strand_exactness(minimal, rp2) if not r.exact]
+    assert [str(r.multidegree) for r in failed] == ["a*b*d*e*c*f"]
+    assert main(["verify", RP2]) == 3
+    assert "internal oracle disagreement" in capsys.readouterr().err
 
 
 # --- minimality --------------------------------------------------------------------
